@@ -1,7 +1,7 @@
 //! Command parsing and execution for the CODS shell.
 
 use cods::{Cods, ColumnFill, DecomposeSpec, MergeStrategy, Smo};
-use cods_query::{AggExpr, AggOp, CmpOp, ExecContext, Plan, Predicate};
+use cods_query::{AggExpr, CmpOp, ExecContext, Plan, Predicate};
 use cods_storage::persist::{read_catalog, save_catalog};
 use cods_storage::{load_file, segment_cache, ColumnDef, LoadOptions, Schema, Value, ValueType};
 use cods_workload::figure1;
@@ -129,22 +129,9 @@ const EXPLAIN_USAGE: &str = "usage: explain agg <table> <cols|-> <op:col,…> [w
 /// `op:col` → aggregate expression, aliased like the server's agg output
 /// (`count(skill)`).
 fn parse_agg_expr(spec: &str) -> Result<AggExpr, String> {
-    let (op, col) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("bad aggregate {spec:?}, want op:col"))?;
-    let op = match op {
-        "count" => AggOp::Count,
-        "distinct" => AggOp::CountDistinct,
-        "sum" => AggOp::Sum,
-        "min" => AggOp::Min,
-        "max" => AggOp::Max,
-        other => return Err(format!("unknown aggregate op {other:?}")),
-    };
-    Ok(AggExpr::new(
-        op,
-        col,
-        format!("{op:?}({col})").to_lowercase(),
-    ))
+    let (op, col) = crate::remote::parse_agg_spec(spec)?;
+    let alias = format!("{op:?}({col})").to_lowercase();
+    Ok(AggExpr::new(op, col, alias))
 }
 
 /// Renders the `stats` output: per-column segment-encoding histogram (a

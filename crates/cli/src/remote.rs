@@ -18,9 +18,9 @@
 //! quit
 //! ```
 
+use cods_query::pred::parse_literal;
 use cods_query::{AggOp, CmpOp, Predicate};
 use cods_server::{Client, ClientError, ServerConfig};
-use cods_storage::Value;
 use std::io::Write;
 use std::time::Duration;
 
@@ -339,19 +339,11 @@ fn fmt_err(e: ClientError) -> String {
 }
 
 /// `op:col` → aggregate spec; ops: count, distinct, sum, min, max.
-fn parse_agg_spec(spec: &str) -> Result<(AggOp, String), String> {
+pub(crate) fn parse_agg_spec(spec: &str) -> Result<(AggOp, String), String> {
     let (op, col) = spec
         .split_once(':')
         .ok_or_else(|| format!("bad aggregate {spec:?}, want op:col"))?;
-    let op = match op {
-        "count" => AggOp::Count,
-        "distinct" => AggOp::CountDistinct,
-        "sum" => AggOp::Sum,
-        "min" => AggOp::Min,
-        "max" => AggOp::Max,
-        other => return Err(format!("unknown aggregate op {other:?}")),
-    };
-    Ok((op, col.to_string()))
+    Ok((op.parse()?, col.to_string()))
 }
 
 /// Optional `select c1,c2` prefix; returns the projection and the rest.
@@ -394,23 +386,6 @@ fn parse_where(words: &[&str]) -> Result<Predicate, String> {
     }
 }
 
-/// Untyped literal parsing: null / bool / int / float, else string.
-fn parse_literal(s: &str) -> Value {
-    match s {
-        "null" | "NULL" => return Value::Null,
-        "true" => return Value::Bool(true),
-        "false" => return Value::Bool(false),
-        _ => {}
-    }
-    if let Ok(i) = s.parse::<i64>() {
-        return Value::int(i);
-    }
-    if let Ok(f) = s.parse::<f64>() {
-        return Value::float(f);
-    }
-    Value::str(s.trim_matches('\''))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,16 +402,6 @@ mod tests {
         let mut out = Vec::new();
         connect_command(client, line, &mut out).unwrap();
         String::from_utf8(out).unwrap()
-    }
-
-    #[test]
-    fn literal_parsing_is_untyped_but_sensible() {
-        assert_eq!(parse_literal("null"), Value::Null);
-        assert_eq!(parse_literal("true"), Value::Bool(true));
-        assert_eq!(parse_literal("42"), Value::int(42));
-        assert_eq!(parse_literal("4.5"), Value::float(4.5));
-        assert_eq!(parse_literal("'Jones'"), Value::str("Jones"));
-        assert_eq!(parse_literal("Jones"), Value::str("Jones"));
     }
 
     #[test]

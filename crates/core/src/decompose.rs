@@ -21,6 +21,7 @@
 use crate::error::{EvolutionError, Result};
 use crate::schema_tools::check_decomposition_shape;
 use crate::status::{EvolutionStatus, StatusTracker};
+use cods_query::par::map_parallel;
 use cods_storage::{EncodedColumn, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -123,7 +124,7 @@ pub fn distinction(
     // O(chunks × rows)); fall back to a hash map keyed by ids actually
     // seen, like `SegmentChunk::from_ids`.
     let dense = distinct as u64 <= (chunk_rows as u64).max(4096);
-    let partials: Vec<Partial> = crate::par::map_parallel(starts.clone(), |start| {
+    let partials: Vec<Partial> = map_parallel(starts.clone(), |start| {
         let end = (start + chunk_rows).min(rows);
         let mut firsts: Vec<(u32, Vec<u32>)> = Vec::new();
         let mut local_groups: Option<Vec<u32>> =
@@ -222,7 +223,7 @@ pub fn distinction(
     // local → global map, then splice in chunk order.
     let groups = want_groups.then(|| {
         let tasks: Vec<(Partial, Vec<u32>)> = partials.into_iter().zip(local_to_global).collect();
-        let rewritten = crate::par::map_parallel(tasks, |(partial, map)| {
+        let rewritten = map_parallel(tasks, |(partial, map)| {
             partial
                 .local_groups
                 .expect("groups requested")
@@ -255,7 +256,7 @@ pub(crate) fn filter_columns_by_positions(
             tasks.push((ci, seg_idx, range));
         }
     }
-    let chunks = crate::par::map_parallel(tasks, |(ci, seg_idx, range)| {
+    let chunks = map_parallel(tasks, |(ci, seg_idx, range)| {
         (
             ci,
             columns[ci].filter_segment_chunk(seg_idx, &positions[range]),
@@ -290,7 +291,7 @@ pub(crate) fn filter_columns_by_mask(
             tasks.push((ci, seg_idx, mask_seg));
         }
     }
-    let chunks = crate::par::map_parallel(tasks, |(ci, seg_idx, mask_seg)| {
+    let chunks = map_parallel(tasks, |(ci, seg_idx, mask_seg)| {
         (
             ci,
             columns[ci].filter_segment_mask_chunk(seg_idx, &mask_seg),

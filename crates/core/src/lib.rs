@@ -39,7 +39,6 @@ pub mod decompose;
 pub mod error;
 pub mod exec;
 pub mod merge;
-pub(crate) mod par;
 pub mod parser;
 pub mod plan;
 pub mod planner;

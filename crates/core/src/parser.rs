@@ -24,7 +24,7 @@ use crate::error::{EvolutionError, Result};
 use crate::merge::MergeStrategy;
 use crate::simple_ops::ColumnFill;
 use crate::smo::Smo;
-use cods_query::pred::{CmpOp, Predicate};
+use cods_query::pred::{parse_literal, CmpOp, Predicate};
 use cods_storage::{ColumnDef, Schema, Value, ValueType};
 
 fn err(msg: impl Into<String>) -> EvolutionError {
@@ -117,24 +117,14 @@ fn parse_predicate(s: &str) -> Result<Predicate> {
     ] {
         if let Some((col, lit)) = t.split_once(sym) {
             let col = col.trim();
-            let lit = lit.trim().trim_matches('\'');
+            let lit = lit.trim();
             if col.is_empty() || lit.is_empty() {
                 return Err(err(format!("malformed comparison {t:?}")));
             }
-            // Literal type inference: int → float → string.
-            let literal = if let Ok(i) = lit.parse::<i64>() {
-                Value::int(i)
-            } else if let Ok(f) = lit.parse::<f64>() {
-                Value::float(f)
-            } else if lit.eq_ignore_ascii_case("true") || lit.eq_ignore_ascii_case("false") {
-                Value::Bool(lit.eq_ignore_ascii_case("true"))
-            } else {
-                Value::str(lit)
-            };
             return Ok(Predicate::Compare {
                 column: col.to_string(),
                 op,
-                literal,
+                literal: parse_literal(lit),
             });
         }
     }
@@ -449,6 +439,19 @@ mod tests {
         ));
         let p = parse_predicate("NOT k = true").unwrap();
         assert!(matches!(p, Predicate::Not(_)));
+    }
+
+    #[test]
+    fn null_literal_is_null_and_quotes_force_strings() {
+        let literal = |s: &str| match parse_predicate(s).unwrap() {
+            Predicate::Compare { literal, .. } => literal,
+            p => panic!("not a comparison: {p:?}"),
+        };
+        assert_eq!(literal("k = null"), Value::Null);
+        assert_eq!(literal("k != NULL"), Value::Null);
+        assert_eq!(literal("k = 'null'"), Value::str("null"));
+        assert_eq!(literal("k = '5'"), Value::str("5"));
+        assert_eq!(literal("k = TRUE"), Value::Bool(true));
     }
 
     #[test]

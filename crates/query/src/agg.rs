@@ -51,6 +51,22 @@ pub enum AggOp {
     Max,
 }
 
+impl std::str::FromStr for AggOp {
+    type Err = String;
+
+    /// Parses an operator name: `count`, `distinct`, `sum`, `min` or `max`.
+    fn from_str(name: &str) -> Result<AggOp, String> {
+        Ok(match name {
+            "count" => AggOp::Count,
+            "distinct" => AggOp::CountDistinct,
+            "sum" => AggOp::Sum,
+            "min" => AggOp::Min,
+            "max" => AggOp::Max,
+            other => return Err(format!("unknown aggregate op {other:?}")),
+        })
+    }
+}
+
 impl AggOp {
     /// Result type of the aggregate over a column of type `input`.
     pub fn output_type(self, input: ValueType) -> ValueType {
@@ -802,6 +818,23 @@ pub fn aggregate_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn agg_op_names_parse() {
+        let names = ["count", "distinct", "sum", "min", "max"];
+        let ops: Vec<AggOp> = names.iter().map(|n| n.parse().unwrap()).collect();
+        assert_eq!(
+            ops,
+            [
+                AggOp::Count,
+                AggOp::CountDistinct,
+                AggOp::Sum,
+                AggOp::Min,
+                AggOp::Max
+            ]
+        );
+        assert!("avg".parse::<AggOp>().unwrap_err().contains("avg"));
+    }
 
     fn rows() -> Vec<Vec<Value>> {
         vec![

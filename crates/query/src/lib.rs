@@ -30,7 +30,7 @@ pub mod bitmap_scan;
 pub mod cost;
 pub mod evolution;
 pub mod join;
-mod par;
+pub mod par;
 pub mod plan;
 pub mod pred;
 pub mod stream;

@@ -3,6 +3,30 @@
 
 use cods_storage::{Dictionary, Schema, StorageError, Value};
 
+/// Reads an untyped literal — the one rule shared by the SMO script
+/// language and the remote REPL. `null`, `true` and `false` (any case) are
+/// NULL and booleans; bare numbers become `Int`, else `Float`; anything
+/// else is a string. Single quotes force a string and are stripped, so
+/// `'42'` and `'null'` are strings.
+pub fn parse_literal(s: &str) -> Value {
+    for (word, v) in [
+        ("null", Value::Null),
+        ("true", Value::Bool(true)),
+        ("false", Value::Bool(false)),
+    ] {
+        if s.eq_ignore_ascii_case(word) {
+            return v;
+        }
+    }
+    if let Ok(i) = s.parse::<i64>() {
+        return Value::int(i);
+    }
+    if let Ok(f) = s.parse::<f64>() {
+        return Value::float(f);
+    }
+    Value::str(s.trim_matches('\''))
+}
+
 /// Comparison operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CmpOp {
@@ -246,6 +270,20 @@ impl CompiledPredicate {
 mod tests {
     use super::*;
     use cods_storage::ValueType;
+
+    #[test]
+    fn literal_parsing_is_untyped_but_sensible() {
+        assert_eq!(parse_literal("null"), Value::Null);
+        assert_eq!(parse_literal("NULL"), Value::Null);
+        assert_eq!(parse_literal("'null'"), Value::str("null"));
+        assert_eq!(parse_literal("true"), Value::Bool(true));
+        assert_eq!(parse_literal("FALSE"), Value::Bool(false));
+        assert_eq!(parse_literal("42"), Value::int(42));
+        assert_eq!(parse_literal("'42'"), Value::str("42"));
+        assert_eq!(parse_literal("4.5"), Value::float(4.5));
+        assert_eq!(parse_literal("'Jones'"), Value::str("Jones"));
+        assert_eq!(parse_literal("Jones"), Value::str("Jones"));
+    }
 
     fn schema() -> Schema {
         Schema::build(&[("a", ValueType::Int), ("b", ValueType::Str)], &[]).unwrap()

@@ -27,6 +27,7 @@
 //! * [`FrameError::TooLarge`] — declared length above the negotiated cap,
 //!   rejected *before* allocating.
 
+use cods_storage::wal::fnv1a64;
 use std::io::{self, Read, Write};
 
 /// Connection preamble magic (`C0DS-7C9A`, "serve").
@@ -90,26 +91,9 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// FNV-1a 64 over a byte slice — the same hash the WAL frames use.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn checksum(kind: u8, payload: &[u8]) -> u64 {
-    let mut head = [0u8; 5];
-    head[0] = kind;
-    head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut h = fnv1a64(&head);
-    for &b in payload {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let len = (payload.len() as u32).to_le_bytes();
+    fnv1a64(&[&[kind], &len, payload])
 }
 
 /// Writes the connection preamble (server side, once per connection).
@@ -193,6 +177,15 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, kind, payload).unwrap();
         buf
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // kind, len, payload, FNV-1a 64 over kind ‖ len ‖ payload.
+        assert_eq!(
+            round_trip(0x09, b"hi"),
+            [9, 2, 0, 0, 0, b'h', b'i', 185, 208, 169, 207, 66, 140, 129, 150]
+        );
     }
 
     #[test]

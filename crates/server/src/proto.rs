@@ -94,20 +94,9 @@ pub enum Command {
         /// Row filter.
         predicate: Predicate,
     },
-    /// Grouped aggregation over the predicate-selected rows.
-    Agg {
-        /// Table name.
-        table: String,
-        /// Row filter applied before grouping.
-        predicate: Predicate,
-        /// Grouping column names.
-        group_by: Vec<String>,
-        /// Aggregate expressions as `(op, input column)` pairs.
-        aggs: Vec<(AggOp, String)>,
-    },
-    /// [`Command::Agg`] with a chunked reply stream: the same columnar
-    /// kernel, but result groups arrive in bounded `Rows` batches instead
-    /// of one frame — large group counts never need one giant frame.
+    /// Grouped aggregation over the predicate-selected rows: the columnar
+    /// kernel's result groups arrive in bounded `Rows` batches, so large
+    /// group counts never need one giant frame.
     GroupBy {
         /// Table name.
         table: String,
@@ -146,7 +135,6 @@ impl Command {
             Command::Script { .. } => 0x05,
             Command::Scan { .. } => 0x06,
             Command::Mask { .. } => 0x07,
-            Command::Agg { .. } => 0x08,
             Command::GroupBy { .. } => 0x09,
             Command::Join { .. } => 0x0A,
         }
@@ -590,13 +578,7 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
             e.str(table);
             e.pred(predicate);
         }
-        Command::Agg {
-            table,
-            predicate,
-            group_by,
-            aggs,
-        }
-        | Command::GroupBy {
+        Command::GroupBy {
             table,
             predicate,
             group_by,
@@ -669,7 +651,7 @@ pub fn decode_command(kind: u8, payload: &[u8]) -> DecResult<Command> {
             table: d.str()?,
             predicate: d.pred(0)?,
         },
-        0x08 | 0x09 => {
+        0x09 => {
             let table = d.str()?;
             let predicate = d.pred(0)?;
             let n = d.u32()? as usize;
@@ -683,20 +665,11 @@ pub fn decode_command(kind: u8, payload: &[u8]) -> DecResult<Command> {
                 let op = agg_op_from(d.u8()?)?;
                 aggs.push((op, d.str()?));
             }
-            if kind == 0x08 {
-                Command::Agg {
-                    table,
-                    predicate,
-                    group_by,
-                    aggs,
-                }
-            } else {
-                Command::GroupBy {
-                    table,
-                    predicate,
-                    group_by,
-                    aggs,
-                }
+            Command::GroupBy {
+                table,
+                predicate,
+                group_by,
+                aggs,
             }
         }
         0x0A => {
@@ -926,12 +899,6 @@ mod tests {
             table: "t".into(),
             predicate: Predicate::ge("f", 1.5f64),
         });
-        rt_cmd(Command::Agg {
-            table: "t".into(),
-            predicate: Predicate::True,
-            group_by: vec!["dept".into()],
-            aggs: vec![(AggOp::Count, "dept".into()), (AggOp::Sum, "pay".into())],
-        });
         rt_cmd(Command::GroupBy {
             table: "t".into(),
             predicate: Predicate::lt("pay", 100i64),
@@ -953,25 +920,6 @@ mod tests {
             left_keys: vec!["who".into(), "region".into()],
             right_keys: vec!["name".into(), "region".into()],
         });
-    }
-
-    #[test]
-    fn agg_and_group_by_share_a_body_but_not_a_kind() {
-        let agg = Command::Agg {
-            table: "t".into(),
-            predicate: Predicate::True,
-            group_by: vec!["g".into()],
-            aggs: vec![(AggOp::Count, "g".into())],
-        };
-        let gb = Command::GroupBy {
-            table: "t".into(),
-            predicate: Predicate::True,
-            group_by: vec!["g".into()],
-            aggs: vec![(AggOp::Count, "g".into())],
-        };
-        assert_eq!(encode_command(&agg), encode_command(&gb));
-        assert_ne!(agg.kind(), gb.kind());
-        assert_eq!(decode_command(0x09, &encode_command(&agg)).unwrap(), gb);
     }
 
     #[test]

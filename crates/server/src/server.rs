@@ -390,35 +390,6 @@ impl<'a> Connection<'a> {
                     Err(e) => self.storage_error(&e),
                 }
             }
-            Command::Agg {
-                table,
-                predicate,
-                group_by,
-                aggs,
-            } => {
-                let t = match self.session.table(&table) {
-                    Ok(t) => t,
-                    Err(e) => return self.storage_error(&e),
-                };
-                match run_agg(&t, &predicate, &group_by, &aggs) {
-                    Ok((columns, rows)) => {
-                        let total = rows.len() as u64;
-                        self.reply(&Reply::RowHeader {
-                            columns,
-                            total_rows: total,
-                        })?;
-                        if total > 0 {
-                            ServerMetrics::add(&self.shared.metrics.rows_streamed, total);
-                            self.reply(&Reply::Rows { rows })?;
-                        }
-                        self.reply(&Reply::Done {
-                            batches: u64::from(total > 0),
-                            rows: total,
-                        })
-                    }
-                    Err(e) => self.storage_error(&e),
-                }
-            }
             Command::GroupBy {
                 table,
                 predicate,
@@ -430,8 +401,8 @@ impl<'a> Connection<'a> {
                     Err(e) => return self.storage_error(&e),
                 };
                 match run_agg(&t, &predicate, &group_by, &aggs) {
-                    // Same kernel as Agg, chunked reply stream: bounded
-                    // frames however many groups come back.
+                    // Chunked reply stream: bounded frames however many
+                    // groups come back.
                     Ok((columns, rows)) => {
                         let total = rows.len() as u64;
                         self.reply(&Reply::RowHeader {

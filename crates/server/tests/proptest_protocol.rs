@@ -6,7 +6,7 @@
 use cods_query::{AggOp, CmpOp, Predicate};
 use cods_server::proto::{
     decode_command, decode_reply, encode_command, encode_reply, Command, DurabilityReply,
-    MetricsReply, Reply, StatsReply,
+    MetricsReply, Reply, StatsReply, WireError,
 };
 use cods_server::{frame, FrameError};
 use cods_storage::{CacheStats, OrderedF64, Value, ValueType};
@@ -103,11 +103,23 @@ fn command() -> BoxedStrategy<Command> {
             prop::collection::vec(name(), 0..3),
             prop::collection::vec((agg_op(), name()), 0..3)
         )
-            .prop_map(|(table, predicate, group_by, aggs)| Command::Agg {
+            .prop_map(|(table, predicate, group_by, aggs)| Command::GroupBy {
                 table,
                 predicate,
                 group_by,
                 aggs,
+            }),
+        (
+            name(),
+            name(),
+            prop::collection::vec(name(), 0..3),
+            prop::collection::vec(name(), 0..3)
+        )
+            .prop_map(|(left, right, left_keys, right_keys)| Command::Join {
+                left,
+                right,
+                left_keys,
+                right_keys,
             }),
     ]
     .boxed()
@@ -194,6 +206,27 @@ fn reply() -> BoxedStrategy<Reply> {
         }),
     ]
     .boxed()
+}
+
+#[test]
+fn well_checksummed_frame_of_unassigned_kind_0x08_is_a_bad_tag() {
+    // Kind 0x08 framed correctly around a GroupBy body: the frame layer
+    // accepts it, the decoder answers with a typed error.
+    let body = encode_command(&Command::GroupBy {
+        table: "t".into(),
+        predicate: Predicate::lt("k", 3i64),
+        group_by: vec!["g".into()],
+        aggs: vec![(AggOp::Sum, "v".into())],
+    });
+    let mut wire = Vec::new();
+    frame::write_frame(&mut wire, 0x08, &body).unwrap();
+    let (kind, payload) =
+        frame::read_frame(&mut Cursor::new(&wire), frame::DEFAULT_MAX_FRAME_BYTES).unwrap();
+    assert_eq!(kind, 0x08);
+    assert_eq!(
+        decode_command(kind, &payload),
+        Err(WireError::BadTag("command kind", 0x08))
+    );
 }
 
 proptest! {

@@ -702,26 +702,14 @@ impl EncodedColumn {
         segment_rows: u64,
     ) -> EncodedColumn {
         let zones = derive_zones(&dict, &segments);
-        Self::from_segments_zoned(ty, dict, segments, zones, segment_rows)
-    }
-
-    /// [`EncodedColumn::from_segments`] with caller-supplied zone maps
-    /// (spliced from inputs, or read from disk). The zones must be parallel
-    /// to `segments` and consistent with their present-id stats —
-    /// [`EncodedColumn::check_invariants`] verifies both.
-    pub fn from_segments_zoned(
-        ty: ValueType,
-        dict: Dictionary,
-        segments: Vec<SegmentEnc>,
-        zones: Vec<Zone>,
-        segment_rows: u64,
-    ) -> EncodedColumn {
         let slots = segments.into_iter().map(SegSlot::fresh).collect();
         Self::from_slots_zoned(ty, dict, slots, zones, segment_rows)
     }
 
-    /// [`EncodedColumn::from_segments_zoned`] over already-built directory
-    /// slots — the v6 lazy-open path, where segments arrive paged out.
+    /// Assembles a column from directory slots and caller-supplied zone
+    /// maps — the v6 lazy-open path, where segments arrive paged out. The
+    /// zones must be parallel to `segments` and consistent with their
+    /// present-id stats; [`EncodedColumn::check_invariants`] verifies both.
     pub(crate) fn from_slots_zoned(
         ty: ValueType,
         dict: Dictionary,
@@ -1684,7 +1672,7 @@ impl EncodedColumn {
     }
 
     /// Faults every paged-out segment into memory — the eager-open path
-    /// used by the v1 downgrade writer and fully-resident benchmarks.
+    /// used by fully-resident benchmarks.
     pub fn fault_in_all(&self) {
         for seg in &self.segments {
             let _ = seg.enc();

@@ -40,23 +40,17 @@
 //! After any save, freshly built segments adopt their new on-disk location
 //! and become evictable.
 //!
-//! Version 5 (eager per-segment payloads behind per-segment encoding
-//! tags), version 4 (one column-wide `enc` byte — homogeneous directories
-//! only), version 3 (no flags byte, no zones), version 2 (bitmap-only
-//! segment directory) and version 1 (the monolithic format: one
-//! full-length bitmap per dictionary value) are still decoded
-//! transparently — fully resident, since those files carry no payload
-//! index. [`encode_table_v1`] writes the legacy layout for compatibility
-//! tests and downgrades; on a lazily opened table it faults every segment
-//! in, since the monolithic layout needs all payloads.
+//! Version 6 is the only format this build reads or writes. Files of
+//! versions 1–5 (the eager, fully resident layouts of earlier releases)
+//! are rejected with a typed [`StorageError::PersistError`] naming the
+//! unsupported version.
 
 use crate::dictionary::Dictionary;
-use crate::encoded::{EncodedColumn, Encoding, SegmentEnc};
+use crate::encoded::{EncodedColumn, Encoding};
 use crate::error::StorageError;
 use crate::fault;
-use crate::rle_segment::RleSegment;
 use crate::schema::{ColumnDef, Schema};
-use crate::segment::{Segment, Zone};
+use crate::segment::Zone;
 use crate::store::{
     encode_payload, file_id_of, payload_encoded_len, segment_cache, DiskLoc, FileId, PayloadSource,
     SegMeta, SegSlot,
@@ -65,16 +59,14 @@ use crate::table::Table;
 use crate::value::{Value, ValueType};
 use crate::wal;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use cods_bitmap::{RleSeq, Wah};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MAGIC: u32 = 0xC0D5_0001;
-/// Current on-disk format version (demand-paged payload heap + footer).
+/// The on-disk format version (demand-paged payload heap + footer) — the
+/// only one this build reads or writes.
 pub const VERSION: u16 = 6;
-/// Oldest format version this build can read.
-pub const MIN_VERSION: u16 = 1;
 
 /// `magic:u32 version:u16`.
 pub(crate) const PREAMBLE_LEN: usize = 6;
@@ -214,17 +206,6 @@ fn put_dict<B: BufMut>(buf: &mut B, ty: ValueType, dict: &Dictionary) {
     }
 }
 
-/// Writes a column in the legacy monolithic (version-1) layout: one
-/// full-length bitmap per dictionary value, whatever the in-memory
-/// per-segment encodings (the downgrade path). Faults lazily opened
-/// segments in, since the monolithic layout needs every payload.
-fn put_column_v1<B: BufMut>(buf: &mut B, c: &EncodedColumn) {
-    put_dict(buf, c.ty(), c.dict());
-    for id in 0..c.dict().len() as u32 {
-        c.value_bitmap(id).encode(buf);
-    }
-}
-
 fn put_zones<B: BufMut>(buf: &mut B, zones: &[Zone]) {
     for z in zones {
         buf.put_u32_le(z.min_id);
@@ -269,7 +250,7 @@ fn get_dict<B: Buf>(buf: &mut B) -> Result<(ValueType, Dictionary), StorageError
     Ok((ty, dict))
 }
 
-/// Reads the `seg_rows`/`seg_count` directory header shared by v2–v6.
+/// Reads a column's `seg_rows`/`seg_count` directory header.
 fn get_dir_header<B: Buf>(buf: &mut B) -> Result<(u64, usize), StorageError> {
     if buf.remaining() < 12 {
         return Err(eof());
@@ -281,173 +262,6 @@ fn get_dir_header<B: Buf>(buf: &mut B) -> Result<(u64, usize), StorageError> {
         ));
     }
     Ok((seg_rows, buf.get_u32_le() as usize))
-}
-
-/// Reads one eagerly stored bitmap segment (v2–v5), validating present ids
-/// against the dictionary up front — zone derivation indexes the rank table
-/// by id, so a corrupt file must be rejected here with an error, never by a
-/// panic downstream.
-fn get_bitmap_segment<B: Buf>(buf: &mut B, dict_len: usize) -> Result<Arc<Segment>, StorageError> {
-    if buf.remaining() < 12 {
-        return Err(eof());
-    }
-    let srows = buf.get_u64_le();
-    let present = buf.get_u32_le() as usize;
-    if present == 0 && srows > 0 {
-        return Err(StorageError::PersistError(format!(
-            "segment of {srows} rows with no present values"
-        )));
-    }
-    let mut ids = Vec::with_capacity(present);
-    for _ in 0..present {
-        if buf.remaining() < 4 {
-            return Err(eof());
-        }
-        let id = buf.get_u32_le();
-        if id as usize >= dict_len {
-            return Err(StorageError::PersistError(format!(
-                "segment id {id} beyond dictionary of {dict_len}"
-            )));
-        }
-        ids.push(id);
-    }
-    let mut pairs = Vec::with_capacity(present);
-    for id in ids {
-        let bm = Wah::decode(buf)?;
-        if bm.len() != srows {
-            return Err(StorageError::PersistError(format!(
-                "segment bitmap of id {id} has length {}, segment has {srows} rows",
-                bm.len()
-            )));
-        }
-        if !bm.any() {
-            return Err(StorageError::PersistError(format!(
-                "empty segment bitmap for id {id}"
-            )));
-        }
-        pairs.push((id, bm));
-    }
-    Ok(Arc::new(Segment::new(srows, pairs)))
-}
-
-/// Reads one eagerly stored RLE segment (v3–v5), validating run ids against
-/// the dictionary (see [`get_bitmap_segment`]).
-fn get_rle_segment<B: Buf>(buf: &mut B, dict_len: usize) -> Result<Arc<RleSegment>, StorageError> {
-    let seq =
-        RleSeq::decode(buf).map_err(|e| StorageError::PersistError(format!("rle segment: {e}")))?;
-    if seq.is_empty() {
-        return Err(StorageError::PersistError("empty rle segment".into()));
-    }
-    if let Some(&(id, _)) = seq.runs().iter().find(|&&(id, _)| id as usize >= dict_len) {
-        return Err(StorageError::PersistError(format!(
-            "rle run id {id} beyond dictionary of {dict_len}"
-        )));
-    }
-    Ok(Arc::new(RleSegment::new(seq)))
-}
-
-/// Reads the homogeneous directory of a v2–v4 column (one encoding for
-/// every segment).
-fn get_uniform_segments<B: Buf>(
-    buf: &mut B,
-    dict_len: usize,
-    enc: u8,
-) -> Result<(Vec<SegmentEnc>, u64), StorageError> {
-    let (seg_rows, seg_count) = get_dir_header(buf)?;
-    let mut segments = Vec::with_capacity(seg_count);
-    for _ in 0..seg_count {
-        segments.push(match enc {
-            ENC_BITMAP => SegmentEnc::Bitmap(get_bitmap_segment(buf, dict_len)?),
-            ENC_RLE => SegmentEnc::Rle(get_rle_segment(buf, dict_len)?),
-            e => {
-                return Err(StorageError::PersistError(format!(
-                    "unknown column encoding {e}"
-                )))
-            }
-        });
-    }
-    Ok((segments, seg_rows))
-}
-
-fn get_column<B: Buf>(buf: &mut B, rows: u64, version: u16) -> Result<EncodedColumn, StorageError> {
-    let (ty, dict) = get_dict(buf)?;
-    let col = match version {
-        1 => {
-            let mut bitmaps = Vec::with_capacity(dict.len());
-            for _ in 0..dict.len() {
-                bitmaps.push(Wah::decode(buf)?);
-            }
-            EncodedColumn::from_parts(ty, dict, bitmaps, rows)?
-        }
-        2 => {
-            let (segments, seg_rows) = get_uniform_segments(buf, dict.len(), ENC_BITMAP)?;
-            EncodedColumn::from_segments(ty, dict, segments, seg_rows)
-        }
-        3 => {
-            if buf.remaining() < 1 {
-                return Err(eof());
-            }
-            // v3 stores no zones: reconstructed from segment stats below
-            // (from_segments derives them).
-            let enc = buf.get_u8();
-            let (segments, seg_rows) = get_uniform_segments(buf, dict.len(), enc)?;
-            EncodedColumn::from_segments(ty, dict, segments, seg_rows)
-        }
-        4 => {
-            if buf.remaining() < 2 {
-                return Err(eof());
-            }
-            let enc = buf.get_u8();
-            let flags = buf.get_u8();
-            let dict_len = dict.len();
-            let (segments, seg_rows) = get_uniform_segments(buf, dict_len, enc)?;
-            let zones = get_zones(buf, segments.len(), dict_len)?;
-            let mut col = EncodedColumn::from_segments_zoned(ty, dict, segments, zones, seg_rows);
-            col.set_encoding_pinned(flags & FLAG_PINNED != 0);
-            col
-        }
-        _ => {
-            // v5: flags byte, then one tagged eager segment after another.
-            if buf.remaining() < 1 {
-                return Err(eof());
-            }
-            let flags = buf.get_u8();
-            let dict_len = dict.len();
-            let (seg_rows, seg_count) = get_dir_header(buf)?;
-            let mut segments = Vec::with_capacity(seg_count);
-            let mut pins = Vec::with_capacity(seg_count);
-            for _ in 0..seg_count {
-                if buf.remaining() < 1 {
-                    return Err(eof());
-                }
-                let tag = buf.get_u8();
-                if tag & !(ENC_RLE | SEG_FLAG_PINNED) != 0 {
-                    return Err(StorageError::PersistError(format!(
-                        "unknown segment tag {tag:#04x}"
-                    )));
-                }
-                pins.push(tag & SEG_FLAG_PINNED != 0);
-                segments.push(if tag & ENC_RLE != 0 {
-                    SegmentEnc::Rle(get_rle_segment(buf, dict_len)?)
-                } else {
-                    SegmentEnc::Bitmap(get_bitmap_segment(buf, dict_len)?)
-                });
-            }
-            let zones = get_zones(buf, segments.len(), dict_len)?;
-            let mut col = EncodedColumn::from_segments_zoned(ty, dict, segments, zones, seg_rows);
-            col.set_segment_pins(pins);
-            col.set_encoding_pinned(flags & FLAG_PINNED != 0);
-            col
-        }
-    };
-    if col.rows() != rows {
-        return Err(StorageError::PersistError(format!(
-            "column covers {} rows, table claims {rows}",
-            col.rows()
-        )));
-    }
-    col.check_invariants()?;
-    Ok(col)
 }
 
 // ---------------------------------------------------------------------------
@@ -735,29 +549,7 @@ fn append_point(what: &Content<'_>, path: &Path) -> Option<(u64, PathBuf, Option
     if !referenced {
         return None;
     }
-    use std::io::{Read, Seek, SeekFrom};
-    let mut f = std::fs::File::open(path).ok()?;
-    let len = f.metadata().ok()?.len();
-    if len < (PREAMBLE_LEN + FOOTER_LEN) as u64 {
-        return None;
-    }
-    let mut head = [0u8; PREAMBLE_LEN];
-    f.read_exact(&mut head).ok()?;
-    if u32::from_le_bytes(head[0..4].try_into().unwrap()) != MAGIC
-        || u16::from_le_bytes(head[4..6].try_into().unwrap()) != VERSION
-    {
-        return None;
-    }
-    f.seek(SeekFrom::Start(len - FOOTER_LEN as u64)).ok()?;
-    let mut foot = [0u8; FOOTER_LEN];
-    f.read_exact(&mut foot).ok()?;
-    if u32::from_le_bytes(foot[8..12].try_into().unwrap()) != MAGIC {
-        return None;
-    }
-    let meta_off = u64::from_le_bytes(foot[0..8].try_into().unwrap());
-    if meta_off < PREAMBLE_LEN as u64 || meta_off > len - FOOTER_LEN as u64 {
-        return None;
-    }
+    let (_, meta_off) = v6_footer(path).ok()?;
     Some((meta_off, canon, target_id))
 }
 
@@ -948,17 +740,16 @@ pub(crate) fn rewrite_compacted(
 /// Reads and validates the footer of a v6 file without decoding anything
 /// else. Returns `(file_len, meta_off)`.
 pub(crate) fn v6_footer(path: &Path) -> Result<(u64, u64), StorageError> {
+    read_footer(&mut std::fs::File::open(path)?, path)
+}
+
+/// Validates the preamble and footer of the open file at `path`; returns
+/// `(file_len, meta_off)`.
+fn read_footer(f: &mut std::fs::File, path: &Path) -> Result<(u64, u64), StorageError> {
     use std::io::{Read, Seek, SeekFrom};
-    let mut f = std::fs::File::open(path)?;
     let mut head = [0u8; PREAMBLE_LEN];
     f.read_exact(&mut head).map_err(|_| eof())?;
     check_header(&mut &head[..])?;
-    let version = u16::from_le_bytes(head[4..6].try_into().unwrap());
-    if version < 6 {
-        return Err(StorageError::PersistError(format!(
-            "version {version} file has no payload heap"
-        )));
-    }
     let len = f.metadata()?.len();
     if len < (PREAMBLE_LEN + FOOTER_LEN) as u64 {
         return Err(torn_tail(path, format!("file is only {len} bytes")));
@@ -1222,31 +1013,10 @@ pub fn encode_table(t: &Table) -> Bytes {
     image
 }
 
-/// Serializes one table in the legacy monolithic version-1 layout (one
-/// full-length bitmap per dictionary value). Kept for downgrade paths and
-/// the cross-version round-trip tests. Faults lazily opened segments in.
-pub fn encode_table_v1(t: &Table) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u16_le(1);
-    put_str(&mut buf, t.name());
-    put_schema(&mut buf, t.schema());
-    buf.put_u64_le(t.rows());
-    for c in t.columns() {
-        put_column_v1(&mut buf, c);
-    }
-    buf.freeze()
-}
-
-/// Deserializes one table (any supported format version). A v6 image
-/// opens lazily: columns carry metadata only, and payloads fault in from
-/// the image on first touch.
+/// Deserializes one table. The image opens lazily: columns carry metadata
+/// only, and payloads fault in from the image on first touch.
 pub fn decode_table(buf: Bytes) -> Result<Table, StorageError> {
-    let mut cursor = buf.clone();
-    let version = check_header(&mut cursor)?;
-    if version < 6 {
-        return decode_table_body(&mut cursor, version);
-    }
+    check_header(&mut buf.clone())?;
     let (mut meta, heap_end) = v6_regions(&buf)?;
     let source = Arc::new(PayloadSource::Bytes(buf));
     let mut dedup = SlotDedup::new();
@@ -1259,7 +1029,9 @@ pub fn decode_table(buf: Bytes) -> Result<Table, StorageError> {
     Ok(t)
 }
 
-fn check_header(buf: &mut impl Buf) -> Result<u16, StorageError> {
+/// Validates the preamble: the magic, then [`VERSION`] — every other
+/// version, older or newer, is an "unsupported version" error.
+fn check_header(buf: &mut impl Buf) -> Result<(), StorageError> {
     if buf.remaining() < PREAMBLE_LEN {
         return Err(eof());
     }
@@ -1270,26 +1042,12 @@ fn check_header(buf: &mut impl Buf) -> Result<u16, StorageError> {
         )));
     }
     let version = buf.get_u16_le();
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(StorageError::PersistError(format!(
             "unsupported version {version}"
         )));
     }
-    Ok(version)
-}
-
-fn decode_table_body(buf: &mut impl Buf, version: u16) -> Result<Table, StorageError> {
-    let name = get_str(buf)?;
-    let schema = get_schema(buf)?;
-    if buf.remaining() < 8 {
-        return Err(eof());
-    }
-    let rows = buf.get_u64_le();
-    let mut columns = Vec::with_capacity(schema.arity());
-    for _ in 0..schema.arity() {
-        columns.push(Arc::new(get_column(buf, rows, version)?));
-    }
-    Table::new(name, schema, columns)
+    Ok(())
 }
 
 /// Writes a table to a file. When the file already backs some of the
@@ -1315,9 +1073,9 @@ fn recover_before_read(path: &Path) -> Result<(), StorageError> {
     Ok(())
 }
 
-/// Reads a table from a file. A v6 file opens as metadata only — segment
+/// Reads a table from a file. The file opens as metadata only — segment
 /// payloads stay on disk and fault in through the buffer cache on first
-/// touch. Older versions load fully resident. Detects an interrupted save
+/// touch. Detects an interrupted save
 /// first and rolls the file back to its last committed footer.
 pub fn read_table(path: impl AsRef<Path>) -> Result<Table, StorageError> {
     let path = path.as_ref();
@@ -1328,66 +1086,30 @@ pub fn read_table(path: impl AsRef<Path>) -> Result<Table, StorageError> {
 /// [`read_table`] without the recovery step — for callers (vacuum) that
 /// already hold the file's save lock and have recovered it.
 pub(crate) fn read_table_raw(path: &Path) -> Result<Table, StorageError> {
-    match open_v6_file(path)? {
-        None => {
-            let bytes = std::fs::read(path)?;
-            decode_table(Bytes::from(bytes))
-        }
-        Some((mut meta, heap_end, source)) => {
-            let mut dedup = SlotDedup::new();
-            let t = get_table_v6(&mut meta, &source, heap_end, &mut dedup)?;
-            if meta.remaining() != 0 {
-                return Err(StorageError::PersistError(
-                    "trailing bytes after table metadata".into(),
-                ));
-            }
-            Ok(t)
-        }
+    let (mut meta, heap_end, source) = open_v6_file(path)?;
+    let mut dedup = SlotDedup::new();
+    let t = get_table_v6(&mut meta, &source, heap_end, &mut dedup)?;
+    if meta.remaining() != 0 {
+        return Err(StorageError::PersistError(
+            "trailing bytes after table metadata".into(),
+        ));
     }
+    Ok(t)
 }
 
-/// Opens `path` and, when it is a v6 file, reads *only* the preamble,
-/// footer, and metadata region — never the payload heap. Returns `None`
-/// for older versions (whose whole-file decode path still applies).
-#[allow(clippy::type_complexity)]
-fn open_v6_file(path: &Path) -> Result<Option<(Bytes, u64, Arc<PayloadSource>)>, StorageError> {
+/// Opens `path` and reads *only* the preamble, footer, and metadata
+/// region — never the payload heap. Returns `(metadata, heap end, payload
+/// source)`.
+fn open_v6_file(path: &Path) -> Result<(Bytes, u64, Arc<PayloadSource>), StorageError> {
     use std::io::{Read, Seek, SeekFrom};
     let mut file = std::fs::File::open(path)?;
-    let mut head = [0u8; PREAMBLE_LEN];
-    file.read_exact(&mut head)
-        .map_err(|_| eof())
-        .and_then(|()| check_header(&mut &head[..]).map(|_| ()))?;
-    let version = u16::from_le_bytes(head[4..6].try_into().unwrap());
-    if version < 6 {
-        return Ok(None);
-    }
-    let len = file.metadata()?.len();
-    if len < (PREAMBLE_LEN + FOOTER_LEN) as u64 {
-        return Err(torn_tail(path, format!("file is only {len} bytes")));
-    }
-    file.seek(SeekFrom::Start(len - FOOTER_LEN as u64))?;
-    let mut foot = [0u8; FOOTER_LEN];
-    file.read_exact(&mut foot)?;
-    let tail_magic = u32::from_le_bytes(foot[8..12].try_into().unwrap());
-    if tail_magic != MAGIC {
-        return Err(torn_tail(
-            path,
-            format!("bad footer magic 0x{tail_magic:08x}"),
-        ));
-    }
-    let meta_off = u64::from_le_bytes(foot[0..8].try_into().unwrap());
-    if meta_off < PREAMBLE_LEN as u64 || meta_off > len - FOOTER_LEN as u64 {
-        return Err(torn_tail(
-            path,
-            format!("footer metadata offset {meta_off} outside file of {len} bytes"),
-        ));
-    }
+    let (len, meta_off) = read_footer(&mut file, path)?;
     file.seek(SeekFrom::Start(meta_off))?;
     let mut meta = vec![0u8; (len - FOOTER_LEN as u64 - meta_off) as usize];
     file.read_exact(&mut meta)?;
     let canon = std::fs::canonicalize(path)?;
     let source = Arc::new(PayloadSource::for_file(file, canon));
-    Ok(Some((Bytes::from(meta), meta_off, source)))
+    Ok((Bytes::from(meta), meta_off, source))
 }
 
 /// Serializes all tables of a catalog as one current-format image. Each
@@ -1402,23 +1124,11 @@ pub fn encode_catalog(cat: &crate::catalog::Catalog) -> Bytes {
     image
 }
 
-/// Deserializes a catalog (any supported format version). In a v6 image,
-/// records with identical heap locations come back as one shared slot, so
-/// columns shared across table versions stay shared — and cached once.
+/// Deserializes a catalog. Records with identical heap locations come back
+/// as one shared slot, so columns shared across table versions stay shared
+/// — and cached once.
 pub fn decode_catalog(buf: Bytes) -> Result<crate::catalog::Catalog, StorageError> {
-    let mut cursor = buf.clone();
-    let version = check_header(&mut cursor)?;
-    if version < 6 {
-        if cursor.remaining() < 4 {
-            return Err(eof());
-        }
-        let count = cursor.get_u32_le();
-        let cat = crate::catalog::Catalog::new();
-        for _ in 0..count {
-            cat.create(decode_table_body(&mut cursor, version)?)?;
-        }
-        return Ok(cat);
-    }
+    check_header(&mut buf.clone())?;
     let (mut meta, heap_end) = v6_regions(&buf)?;
     let source = Arc::new(PayloadSource::Bytes(buf));
     decode_catalog_meta(&mut meta, heap_end, &source)
@@ -1456,7 +1166,7 @@ pub fn save_catalog(
     save_content(&Content::Catalog(cat.snapshot()), path.as_ref())
 }
 
-/// Reads a catalog from a file (lazily for v6 — see [`read_table`]).
+/// Reads a catalog from a file (lazily — see [`read_table`]).
 /// Detects an interrupted save first and rolls the file back to its last
 /// committed footer.
 pub fn read_catalog(path: impl AsRef<Path>) -> Result<crate::catalog::Catalog, StorageError> {
@@ -1468,13 +1178,8 @@ pub fn read_catalog(path: impl AsRef<Path>) -> Result<crate::catalog::Catalog, S
 /// [`read_catalog`] without the recovery step — for callers (vacuum) that
 /// already hold the file's save lock and have recovered it.
 pub(crate) fn read_catalog_raw(path: &Path) -> Result<crate::catalog::Catalog, StorageError> {
-    match open_v6_file(path)? {
-        None => {
-            let bytes = std::fs::read(path)?;
-            decode_catalog(Bytes::from(bytes))
-        }
-        Some((mut meta, heap_end, source)) => decode_catalog_meta(&mut meta, heap_end, &source),
-    }
+    let (mut meta, heap_end, source) = open_v6_file(path)?;
+    decode_catalog_meta(&mut meta, heap_end, &source)
 }
 
 #[cfg(test)]
@@ -1482,7 +1187,6 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::encoded::Encoding;
-    use crate::segment::DEFAULT_SEGMENT_ROWS;
     use crate::store::budget_guard;
 
     fn sample() -> Table {
@@ -1634,201 +1338,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_file_still_decodes() {
-        let t = multi_segment();
-        let legacy = encode_table_v1(&t);
-        let back = decode_table(legacy).unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        back.check_invariants().unwrap();
-        // Re-segmented at the default size on load.
-        assert_eq!(back.column(0).nominal_segment_rows(), DEFAULT_SEGMENT_ROWS);
-    }
-
-    fn put_bitmap_segment(buf: &mut BytesMut, seg: &Segment) {
-        buf.put_u64_le(seg.rows());
-        buf.put_u32_le(seg.distinct_count() as u32);
-        for &id in seg.present_ids() {
-            buf.put_u32_le(id);
-        }
-        for bm in seg.bitmaps() {
-            bm.encode(buf);
-        }
-    }
-
-    /// Writes the version-2 layout (bitmap segment directory, no encoding
-    /// byte) so the upgrade path stays covered now that the writer emits
-    /// version 6.
-    fn encode_table_v2(t: &Table) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(2);
-        put_str(&mut buf, t.name());
-        put_schema(&mut buf, t.schema());
-        buf.put_u64_le(t.rows());
-        for c in t.columns() {
-            put_dict(&mut buf, c.ty(), c.dict());
-            buf.put_u64_le(c.nominal_segment_rows());
-            buf.put_u32_le(c.segment_count() as u32);
-            for seg in c.segments() {
-                let enc = seg.enc();
-                put_bitmap_segment(&mut buf, enc.as_bitmap().expect("v2 writer is bitmap-only"));
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Writes the eager tagless directory shared by the v3/v4 test writers.
-    fn put_uniform_directory(buf: &mut BytesMut, c: &EncodedColumn) {
-        buf.put_u64_le(c.nominal_segment_rows());
-        buf.put_u32_le(c.segment_count() as u32);
-        for seg in c.segments() {
-            match seg.enc() {
-                SegmentEnc::Bitmap(s) => put_bitmap_segment(buf, &s),
-                SegmentEnc::Rle(s) => s.seq().encode(buf),
-            }
-        }
-    }
-
-    fn uniform_enc_byte(c: &EncodedColumn) -> u8 {
-        match c.uniform_encoding().expect("legacy writers are uniform") {
-            Encoding::Bitmap => ENC_BITMAP,
-            Encoding::Rle => ENC_RLE,
-        }
-    }
-
-    /// Writes the version-3 layout (per-encoding segment directories, no
-    /// flags byte, no zones) so the v3 upgrade path stays covered.
-    fn encode_table_v3(t: &Table) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(3);
-        put_str(&mut buf, t.name());
-        put_schema(&mut buf, t.schema());
-        buf.put_u64_le(t.rows());
-        for c in t.columns() {
-            put_dict(&mut buf, c.ty(), c.dict());
-            buf.put_u8(uniform_enc_byte(c));
-            put_uniform_directory(&mut buf, c);
-        }
-        buf.freeze()
-    }
-
-    /// Writes the version-4 layout (one column-wide `enc` byte + flags +
-    /// zones — homogeneous directories only) so the v4 upgrade path stays
-    /// covered.
-    fn encode_table_v4(t: &Table) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(4);
-        put_str(&mut buf, t.name());
-        put_schema(&mut buf, t.schema());
-        buf.put_u64_le(t.rows());
-        for c in t.columns() {
-            put_dict(&mut buf, c.ty(), c.dict());
-            buf.put_u8(uniform_enc_byte(c));
-            buf.put_u8(if c.encoding_pinned() { FLAG_PINNED } else { 0 });
-            put_uniform_directory(&mut buf, c);
-            put_zones(&mut buf, c.zones());
-        }
-        buf.freeze()
-    }
-
-    /// Writes the version-5 layout (eager payloads behind per-segment
-    /// encoding tags) so the v5 → v6 upgrade path stays covered.
-    fn encode_table_v5(t: &Table) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(5);
-        put_str(&mut buf, t.name());
-        put_schema(&mut buf, t.schema());
-        buf.put_u64_le(t.rows());
-        for c in t.columns() {
-            put_dict(&mut buf, c.ty(), c.dict());
-            buf.put_u8(if c.encoding_pinned() { FLAG_PINNED } else { 0 });
-            buf.put_u64_le(c.nominal_segment_rows());
-            buf.put_u32_le(c.segment_count() as u32);
-            for (i, slot) in c.segments().iter().enumerate() {
-                let enc = slot.enc();
-                let mut tag = match &enc {
-                    SegmentEnc::Bitmap(_) => ENC_BITMAP,
-                    SegmentEnc::Rle(_) => ENC_RLE,
-                };
-                if c.segment_pin_raw(i) {
-                    tag |= SEG_FLAG_PINNED;
-                }
-                buf.put_u8(tag);
-                match &enc {
-                    SegmentEnc::Bitmap(s) => put_bitmap_segment(&mut buf, s),
-                    SegmentEnc::Rle(s) => s.seq().encode(&mut buf),
-                }
-            }
-            put_zones(&mut buf, c.zones());
-        }
-        buf.freeze()
-    }
-
-    #[test]
-    fn v3_file_upgrades_with_reconstructed_zones() {
-        let t = mixed_encoding();
-        let back = decode_table(encode_table_v3(&t)).unwrap();
-        back.check_invariants().unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        for (a, b) in t.columns().iter().zip(back.columns()) {
-            // Zones are reconstructed from stats on upgrade and must equal
-            // the natively maintained ones; nothing is pinned in v3.
-            assert_eq!(a.zones(), b.zones());
-            assert_eq!(a.uniform_encoding(), b.uniform_encoding());
-            assert!(!b.encoding_pinned());
-        }
-    }
-
-    #[test]
-    fn v4_file_upgrades_to_uniform_directories() {
-        let t = mixed_encoding()
-            .with_column_encoding_pinned("k", Encoding::Bitmap)
-            .unwrap();
-        let back = decode_table(encode_table_v4(&t)).unwrap();
-        back.check_invariants().unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        for (a, b) in t.columns().iter().zip(back.columns()) {
-            // A homogeneous v4 column decodes to a uniform directory with
-            // its zones byte-exact and its pin preserved.
-            assert_eq!(a.uniform_encoding(), b.uniform_encoding());
-            assert!(b.uniform_encoding().is_some());
-            assert_eq!(a.zones(), b.zones());
-            assert_eq!(a.encoding_pinned(), b.encoding_pinned());
-        }
-        assert!(back.column_by_name("k").unwrap().encoding_pinned());
-    }
-
-    #[test]
-    fn v5_file_upgrades_preserving_zones_and_pins() {
-        let t = mixed_encoding()
-            .with_column_encoding_pinned("k", Encoding::Bitmap)
-            .unwrap();
-        assert!(t.column_by_name("k").unwrap().encoding_pinned());
-        assert!(!t.column_by_name("v").unwrap().encoding_pinned());
-        let back = decode_table(encode_table_v5(&t)).unwrap();
-        back.check_invariants().unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        // Eager formats decode fully resident.
-        let (resident, on_disk) = residency(&back);
-        assert_eq!(on_disk, 0, "v5 files carry no payload index");
-        assert!(resident > 0);
-        for (a, b) in t.columns().iter().zip(back.columns()) {
-            assert_eq!(a.zones(), b.zones(), "zones round-trip byte-exactly");
-            assert_eq!(a.encoding_pinned(), b.encoding_pinned());
-        }
-        // Corrupt zone ids are rejected, not silently accepted (the v5
-        // layout ends with the final column's last zone).
-        let bytes = encode_table_v5(&t);
-        let mut raw = bytes.as_slice().to_vec();
-        let n = raw.len();
-        raw[n - 8..n].copy_from_slice(&u32::MAX.to_le_bytes().repeat(2));
-        assert!(decode_table(Bytes::from(raw)).is_err());
-    }
-
-    #[test]
     fn v6_round_trip_preserves_zones_and_pins() {
         let t = mixed_encoding()
             .with_column_encoding_pinned("k", Encoding::Bitmap)
@@ -1919,27 +1428,38 @@ mod tests {
         assert!(decode_table(Bytes::from(raw)).is_err());
     }
 
+    /// Decodes `raw`, expecting a [`StorageError::PersistError`] whose
+    /// message contains `needle`.
+    fn expect_persist_error(raw: Vec<u8>, needle: &str) {
+        match decode_table(Bytes::from(raw)) {
+            Err(StorageError::PersistError(m)) => {
+                assert!(m.contains(needle), "expected {needle:?}, got {m:?}")
+            }
+            other => panic!("expected PersistError({needle:?}), got {other:?}"),
+        }
+    }
+
     #[test]
     fn corrupt_segment_ids_are_rejected_not_panicked() {
-        // A v3 file whose segment references an id beyond the dictionary
-        // must fail decode with a PersistError — zone derivation indexes
-        // rank tables by id, so this used to be panic territory.
+        // A segment record whose present id lies beyond the dictionary
+        // must fail decode with a PersistError — zone checks index rank
+        // tables by id, so this would otherwise be panic territory.
         let t = multi_segment();
-        let bytes = encode_table_v3(&t);
-        let mut raw = bytes.as_slice().to_vec();
-        let pat = 128u64.to_le_bytes();
-        let pos = raw
-            .windows(8)
-            .position(|w| w == pat)
-            .expect("first segment header");
-        // srows(8) + present(4) → first id.
-        let id_off = pos + 12;
+        let mut raw = encode_table(&t).as_slice().to_vec();
+        // segtag(1) off len rows runs bytes (5 × 8) present(4) → first id.
+        let id_off = first_seg_record(&raw, &t) + 1 + 5 * 8 + 4;
         raw[id_off..id_off + 4].copy_from_slice(&9_999u32.to_le_bytes());
-        let err = decode_table(Bytes::from(raw));
-        assert!(
-            matches!(err, Err(StorageError::PersistError(_))),
-            "expected PersistError, got {err:?}"
-        );
+        expect_persist_error(raw, "beyond dictionary");
+    }
+
+    #[test]
+    fn out_of_range_zone_ids_are_rejected() {
+        // The metadata region ends with the last column's zones, right
+        // before the 12-byte footer.
+        let mut raw = encode_table(&mixed_encoding()).as_slice().to_vec();
+        let n = raw.len();
+        raw[n - 20..n - 12].copy_from_slice(&u32::MAX.to_le_bytes().repeat(2));
+        expect_persist_error(raw, "beyond dictionary");
     }
 
     #[test]
@@ -1964,55 +1484,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_directories_still_downgrade_to_v1() {
-        let t = mixed_directory()
-            .with_column_encoding_pinned("v", Encoding::Rle)
-            .unwrap();
-        let back = decode_table(encode_table_v1(&t)).unwrap();
-        back.check_invariants().unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        // v1 carries neither zones nor pins nor per-segment encodings:
-        // fresh bitmap defaults on decode, zones re-derived.
-        assert!(back.columns().iter().all(|c| !c.encoding_pinned()));
-        assert!(back
-            .columns()
-            .iter()
-            .all(|c| c.uniform_encoding() == Some(Encoding::Bitmap)));
-        assert!(back
-            .columns()
-            .iter()
-            .all(|c| c.zones().len() == c.segment_count()));
-    }
-
-    #[test]
-    fn lazily_opened_tables_downgrade_to_v1_by_faulting_in() {
-        let _g = budget_guard();
-        let t = mixed_encoding();
-        let path = temp("downgrade");
-        save_table(&t, &path).unwrap();
-        let back = read_table(&path).unwrap();
-        assert_eq!(residency(&back).0, 0, "opened lazily");
-        // The monolithic layout needs every payload: the downgrade faults
-        // the whole table in, and the result decodes to equal rows.
-        let legacy = encode_table_v1(&back);
-        assert_eq!(residency(&back).1, 0, "downgrade faults everything in");
-        let again = decode_table(legacy).unwrap();
-        assert_eq!(again.to_rows(), t.to_rows());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v2_file_still_decodes() {
-        let t = multi_segment();
-        let back = decode_table(encode_table_v2(&t)).unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        back.check_invariants().unwrap();
-        // v2 preserves the segment directory exactly.
-        assert_eq!(back.column(0).segment_count(), t.column(0).segment_count());
-        assert_eq!(back.column(0).nominal_segment_rows(), 128);
-    }
-
-    #[test]
     fn rle_columns_round_trip() {
         let t = mixed_encoding();
         let back = decode_table(encode_table(&t)).unwrap();
@@ -2027,21 +1498,6 @@ mod tests {
         assert_eq!(col.nominal_segment_rows(), 128);
         assert_eq!(
             back.column_by_name("k").unwrap().uniform_encoding(),
-            Some(Encoding::Bitmap)
-        );
-    }
-
-    #[test]
-    fn rle_columns_downgrade_to_v1() {
-        let t = mixed_encoding();
-        let legacy = encode_table_v1(&t);
-        let back = decode_table(legacy).unwrap();
-        back.check_invariants().unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        // The v1 layout is bitmap-only: the RLE column comes back bitmap
-        // encoded with identical values.
-        assert_eq!(
-            back.column_by_name("v").unwrap().uniform_encoding(),
             Some(Encoding::Bitmap)
         );
     }
@@ -2214,6 +1670,32 @@ mod tests {
         buf.put_u32_le(MAGIC);
         buf.put_u16_le(VERSION + 1);
         assert!(decode_table(buf.freeze()).is_err());
+    }
+
+    #[test]
+    fn legacy_versions_are_rejected_with_a_typed_error() {
+        // Versions 1–5 were the eager layouts of earlier releases; this
+        // build names them unsupported, from bytes and from a file alike.
+        let image = encode_table(&sample());
+        let path = temp("legacy");
+        for version in 1..VERSION {
+            let mut raw = image.as_slice().to_vec();
+            raw[4..6].copy_from_slice(&version.to_le_bytes());
+            let needle = format!("unsupported version {version}");
+            std::fs::write(&path, &raw).unwrap();
+            for err in [
+                read_table(&path).map(|_| ()),
+                read_catalog(&path).map(|_| ()),
+                decode_catalog(Bytes::from(raw.clone())).map(|_| ()),
+            ] {
+                assert!(
+                    matches!(&err, Err(StorageError::PersistError(m)) if *m == needle),
+                    "version {version}: {err:?}"
+                );
+            }
+            expect_persist_error(raw, &needle);
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! real concurrent retriers (every connection seeds with its own id).
 
 use crate::error::StorageError;
+use crate::wal::fnv1a64;
 use std::time::Duration;
 
 /// Errors that may succeed when the whole attempt is redone from a fresh
@@ -32,21 +33,6 @@ impl Retryable for StorageError {
     fn should_retry(&self) -> bool {
         matches!(self, StorageError::Conflict(_))
     }
-}
-
-/// FNV-1a 64-bit over the seed and attempt number — the deterministic
-/// jitter source.
-fn fnv1a64(seed: u64, attempt: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in seed
-        .to_le_bytes()
-        .iter()
-        .chain(attempt.to_le_bytes().iter())
-    {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Backoff schedule for retrying conflicting optimistic commits.
@@ -111,7 +97,7 @@ impl RetryPolicy {
             .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
             .min(self.max_delay);
         // factor = (1024 + jitter) / 2048 with jitter ∈ [0, 1024).
-        let jitter = fnv1a64(self.jitter_seed, attempt) % 1024;
+        let jitter = fnv1a64(&[&self.jitter_seed.to_le_bytes(), &attempt.to_le_bytes()]) % 1024;
         let nanos = full.as_nanos().saturating_mul(1024 + jitter as u128) / 2048;
         Duration::from_nanos(nanos.min(u64::MAX as u128) as u64)
     }
@@ -167,6 +153,13 @@ mod tests {
         // …and across seeds.
         let reseeded = p.clone().with_seed(0xDEAD_BEEF);
         assert!((0..8).any(|a| reseeded.backoff(a) != p.backoff(a)));
+    }
+
+    #[test]
+    fn jitter_schedule_is_pinned() {
+        let p = RetryPolicy::new(8, Duration::from_millis(1), Duration::from_millis(100));
+        let nanos: Vec<u128> = (0..4).map(|a| p.backoff(a).as_nanos()).collect();
+        assert_eq!(nanos, [719_726, 1_581_054, 2_312_500, 5_191_406]);
     }
 
     #[test]

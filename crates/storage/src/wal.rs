@@ -66,8 +66,10 @@ pub const FRAME_OVERHEAD_BYTES: u64 = 20;
 /// Bytes of the seal frame.
 pub const SEAL_BYTES: u64 = FRAME_OVERHEAD_BYTES;
 
-/// FNV-1a 64-bit over a list of byte chunks.
-pub(crate) fn fnv1a64(chunks: &[&[u8]]) -> u64 {
+/// FNV-1a 64-bit over a list of byte chunks, hashed as if concatenated —
+/// the one checksum behind rollback-journal and commit-log frames, wire
+/// frames and retry jitter.
+pub fn fnv1a64(chunks: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for chunk in chunks {
         for &b in *chunk {
@@ -425,6 +427,14 @@ fn normalize(path: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reference_fnv1a64_vectors_hold_whatever_the_chunking() {
+        assert_eq!(fnv1a64(&[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(&[b"a"]), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(&[b"foobar"]), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a64(&[b"foo", b"", b"b", b"ar"]), fnv1a64(&[b"foobar"]));
+    }
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(

@@ -230,21 +230,19 @@ proptest! {
     }
 
     #[test]
-    fn persist_round_trip_across_versions(vals in values(), seg in seg_sizes()) {
-        use cods_storage::persist::{decode_table, encode_table, encode_table_v1};
+    fn persist_round_trip_is_stable(vals in values(), seg in seg_sizes()) {
+        use cods_storage::persist::{decode_table, encode_table};
         use cods_storage::{Schema, Table};
         use std::sync::Arc;
         let schema = Schema::build(&[("c", ValueType::Int)], &[]).unwrap();
         let col = Arc::new(bitmap_col(&vals, seg));
         let t = Table::new("t", schema, vec![col]).unwrap();
-        // Current (unified directory) round trip.
-        let now = decode_table(encode_table(&t)).unwrap();
+        let image = encode_table(&t);
+        let now = decode_table(image.clone()).unwrap();
         prop_assert_eq!(now.to_rows(), t.to_rows());
         now.check_invariants().unwrap();
-        // Legacy (v1, monolithic) writer → current reader.
-        let v1 = decode_table(encode_table_v1(&t)).unwrap();
-        prop_assert_eq!(v1.to_rows(), t.to_rows());
-        v1.check_invariants().unwrap();
+        // Re-encoding the lazily decoded table reproduces the image.
+        prop_assert_eq!(encode_table(&now).as_slice(), image.as_slice());
     }
 
     // ---- Mixed-directory differential: every primitive bit-identical ----
@@ -375,26 +373,24 @@ proptest! {
 
     #[test]
     fn mixed_persist_round_trip(vals in values(), seg in seg_sizes(), pattern in any::<u64>()) {
-        use cods_storage::persist::{decode_table, encode_table, encode_table_v1};
+        use cods_storage::persist::{decode_table, encode_table};
         use cods_storage::{Schema, Table};
         use std::sync::Arc;
         let schema = Schema::build(&[("c", ValueType::Int)], &[]).unwrap();
         let mixed = mix(&bitmap_col(&vals, seg), pattern);
         let t = Table::new("t", schema, vec![Arc::new(mixed.clone())]).unwrap();
-        let now = decode_table(encode_table(&t)).unwrap();
+        let image = encode_table(&t);
+        let now = decode_table(image.clone()).unwrap();
         now.check_invariants().unwrap();
         prop_assert_eq!(now.to_rows(), t.to_rows());
-        // Per-segment encodings and pins survive the v5 round trip.
+        // Per-segment encodings and pins survive the round trip.
         let col = now.column(0);
         prop_assert_eq!(col.encoding_counts(), mixed.encoding_counts());
         for i in 0..col.segment_count() {
             prop_assert_eq!(col.segment_encoding(i), mixed.segment_encoding(i));
             prop_assert_eq!(col.segment_pinned(i), mixed.segment_pinned(i));
         }
-        // Downgrade to v1 re-encodes as bitmaps with identical values.
-        let v1 = decode_table(encode_table_v1(&t)).unwrap();
-        v1.check_invariants().unwrap();
-        prop_assert_eq!(v1.to_rows(), t.to_rows());
-        prop_assert_eq!(v1.column(0).uniform_encoding(), Some(Encoding::Bitmap));
+        // Re-encoding the lazily decoded table reproduces the image.
+        prop_assert_eq!(encode_table(&now).as_slice(), image.as_slice());
     }
 }

@@ -3,7 +3,7 @@
 
 use cods::{Cods, ColumnFill, DecomposeSpec, EvolutionError, MergeStrategy, Smo};
 use cods_query::Predicate;
-use cods_storage::{ColumnDef, Value, ValueType};
+use cods_storage::{ColumnDef, Schema, Table, Value, ValueType};
 use cods_workload::{figure1, GenConfig};
 
 #[test]
@@ -222,6 +222,41 @@ fn partition_by_compound_predicate() {
             assert!((10..40).contains(&e));
         }
     }
+}
+
+#[test]
+fn script_predicate_null_literal_selects_null_rows() {
+    // In an SMO script, `null` is the NULL literal and `'null'` the
+    // four-letter string.
+    let cods = Cods::new();
+    let schema = Schema::build(&[("k", ValueType::Int), ("c", ValueType::Str)], &[]).unwrap();
+    let rows: Vec<Vec<Value>> = (0..9)
+        .map(|k| {
+            let c = match k % 3 {
+                0 => Value::Null,
+                1 => Value::str("null"),
+                _ => Value::str("x"),
+            };
+            vec![Value::int(k), c]
+        })
+        .collect();
+    cods.catalog()
+        .create(Table::from_rows("t", schema, &rows).unwrap())
+        .unwrap();
+    cods.plan_script(
+        "PARTITION TABLE t WHERE c = null INTO nulls, rest\n\
+         PARTITION TABLE rest WHERE c = 'null' INTO words, others",
+    )
+    .unwrap()
+    .execute()
+    .unwrap();
+    let column = |t: &str| -> Vec<Value> {
+        let rows = cods.table(t).unwrap().to_rows();
+        rows.into_iter().map(|r| r[1].clone()).collect()
+    };
+    assert_eq!(column("nulls"), vec![Value::Null; 3]);
+    assert_eq!(column("words"), vec![Value::str("null"); 3]);
+    assert_eq!(column("others"), vec![Value::str("x"); 3]);
 }
 
 #[test]

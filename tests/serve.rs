@@ -314,7 +314,7 @@ fn aggregation_over_the_wire_matches_local_execution() {
     let mut client = Client::connect(handle.local_addr()).unwrap();
 
     let (cols, rows) = client
-        .agg(
+        .group_by(
             "t",
             Predicate::lt("grp", 3i64),
             vec!["grp".into()],
@@ -369,16 +369,25 @@ fn chunked_group_by_streams_large_group_counts_in_batches() {
             .unwrap();
     assert_eq!(rows, local);
 
-    // The filtered variant matches Agg (single frame) bit for bit.
+    // The filtered variant (mask pushed into the kernel) matches local
+    // aggregation over the materialized filter bit for bit.
     let pred = Predicate::lt("grp", 2i64);
-    let spec = vec![(cods_query::AggOp::CountDistinct, "v".into())];
-    let via_agg = client
-        .agg("t", pred.clone(), vec!["grp".into()], spec.clone())
+    let (_, via_group_by) = client
+        .group_by(
+            "t",
+            pred.clone(),
+            vec!["grp".into()],
+            vec![(cods_query::AggOp::CountDistinct, "v".into())],
+        )
         .unwrap();
-    let via_group_by = client
-        .group_by("t", pred, vec!["grp".into()], spec)
-        .unwrap();
-    assert_eq!(via_agg, via_group_by);
+    let filtered = cods_query::filter_table(&t, &pred).unwrap();
+    let local = cods_query::aggregate_table(
+        &filtered,
+        &[1],
+        &[(cods_query::AggOp::CountDistinct, 2, ValueType::Str)],
+    )
+    .unwrap();
+    assert_eq!(via_group_by, local);
     handle.shutdown();
 }
 

@@ -1,13 +1,16 @@
-//! Thread-count-parameterized smoke for the vectorized query kernels.
+//! Thread-count-parameterized smoke for the engine's one fan-out seam
+//! (`cods_query::par`), exercised through the vectorized query kernels and
+//! the DECOMPOSE/MERGE executors.
 //!
-//! The kernels size their segment fan-out from `CODS_QUERY_THREADS` (read
-//! once per process), so CI runs this binary twice — `CODS_QUERY_THREADS=1`
-//! for the serial path and `=2` for the fan-out path — and the results must
-//! be byte-identical to the row-at-a-time oracles either way, even on a
-//! 1-core container where the N>1 tasks just interleave on one worker.
+//! The seam sizes every fan-out from `CODS_QUERY_THREADS` (read once per
+//! process), so CI runs this binary twice — `CODS_QUERY_THREADS=1` for the
+//! serial path and `=2` for the fan-out path — and the results must be
+//! byte-identical to the row-at-a-time oracles either way, even on a 1-core
+//! container where the N>1 tasks just interleave on one worker.
 
 use std::sync::Arc;
 
+use cods::{decompose, merge, DecomposeSpec, MergeStrategy};
 use cods_query::{
     aggregate, aggregate_table, aggregate_table_masked, join_collect, predicate_mask, tuple, AggOp,
     Predicate,
@@ -106,5 +109,52 @@ fn kernels_match_oracles_at_the_configured_thread_count() {
         want_join.len(),
         plan.build,
         plan.partitions
+    );
+}
+
+#[test]
+fn decompose_merge_round_trip_at_the_configured_thread_count() {
+    // `detail` is functionally dependent on `entity`, so the round trip
+    // must restore the input's row multiset exactly.
+    let schema = Schema::build(
+        &[
+            ("entity", ValueType::Int),
+            ("attr", ValueType::Int),
+            ("detail", ValueType::Str),
+        ],
+        &[],
+    )
+    .unwrap();
+    let rows: Vec<Vec<Value>> = (0..ROWS)
+        .map(|i| {
+            let entity = (i * 7) % 1_009;
+            vec![
+                Value::int(entity),
+                if i % 89 == 0 {
+                    Value::Null
+                } else {
+                    Value::int(i % 17)
+                },
+                Value::str(format!("d{}", entity % 53)),
+            ]
+        })
+        .collect();
+    let input = Table::from_rows_with_segment_rows("R", schema, &rows, SEG_ROWS).unwrap();
+    let spec = DecomposeSpec::new("S", &["entity", "attr"], "T", &["entity", "detail"]);
+    let parts = decompose(&input, &spec).unwrap();
+    assert_eq!(parts.distinct_keys, 1_009);
+    parts.changed.check_invariants().unwrap();
+    let back = merge(&parts.unchanged, &parts.changed, "R2", &MergeStrategy::Auto).unwrap();
+    back.output.check_invariants().unwrap();
+    assert_eq!(
+        back.output.tuple_multiset(),
+        input.tuple_multiset(),
+        "DECOMPOSE + MERGE fan-out lost or invented rows"
+    );
+    println!(
+        "ok: decompose {} keys over {} segments, merge via {:?}",
+        parts.distinct_keys,
+        input.column(0).segment_count(),
+        back.strategy
     );
 }
