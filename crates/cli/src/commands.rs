@@ -1,9 +1,11 @@
 //! Command parsing and execution for the CODS shell.
 
-use cods::{Cods, ColumnFill, DecomposeSpec, MergeStrategy, Smo};
-use cods_query::{AggExpr, CmpOp, ExecContext, Plan, Predicate};
+use crate::query::{parse_query, tail_after};
+use cods::Cods;
+use cods_query::{AggExpr, ExecContext, Plan, Predicate};
+use cods_server::Command;
 use cods_storage::persist::{read_catalog, save_catalog};
-use cods_storage::{load_file, segment_cache, ColumnDef, LoadOptions, Schema, Value, ValueType};
+use cods_storage::{load_file, segment_cache, LoadOptions, Schema, ValueType};
 use cods_workload::figure1;
 
 /// Result of running one command line.
@@ -36,7 +38,7 @@ commands:
                                                    restricts to a segment-index range
   decompose <in> <out1> <cols> <out2> <cols>       DECOMPOSE TABLE (cols: a,b,c)
   merge <left> <right> <out>                       MERGE TABLES (auto strategy)
-  partition <in> <col><op><lit> <out1> <out2>      PARTITION TABLE (op: = != < <= > >=)
+  partition <in> <pred> <out1> <out2>              PARTITION TABLE (pred: see below)
   union <left> <right> <out>                       UNION TABLES (keeps inputs)
   copy <from> <to> | rename <from> <to> | drop <t> COPY/RENAME/DROP TABLE
   addcol <table> <name:type> <default>             ADD COLUMN
@@ -48,12 +50,14 @@ commands:
                                                    (validated up front; all-or-nothing commit)
   plan <file.smo>                                  validate a script and print its DAG,
                                                    fusion decisions, and elided intermediates
-  explain agg <table> <cols|-> <op:col,…> [where <col><op><lit>]
-  explain join <left> <right> <lcol=rcol,…>        per-operator row estimates from resident
+  explain agg <table> by <cols|-> <op:col,…> [where <pred>]
+  explain join <left> <right> on <lcol=rcol,…>     per-operator row estimates from resident
                                                    segment metadata, with the cost model's
                                                    chosen strategy and ranked rejected
                                                    alternatives (key packing, build side,
-                                                   partition passes)
+                                                   partition passes); the same tails as
+                                                   `connect`'s agg/join (op: count, distinct,
+                                                   sum, min, max; output named op(col))
   history                                          executed SMOs with timings, grouped per plan
   save <file> | open <file>                        persist / restore the catalog (open is
                                                    lazy: segment payloads load on demand;
@@ -66,73 +70,89 @@ commands:
                                                    rollback-journal state plus the commit
                                                    log's records / torn bytes / spill files
   help | quit
+<pred>, the same in scripts, partition, explain and connect: `col op lit` joined
+  by AND, OR, NOT and parentheses; op is = == != <> < <= > >=; lit is a number,
+  true, false, null, a word or 'quoted text' ('' is a quote). An int literal on
+  a float column is a float; digits on a str column need quotes (zip = '02139').
 ";
 
-fn parse_type(s: &str) -> Result<ValueType, String> {
-    match s {
-        "int" => Ok(ValueType::Int),
-        "str" | "string" | "text" => Ok(ValueType::Str),
-        "float" => Ok(ValueType::Float),
-        "bool" => Ok(ValueType::Bool),
-        other => Err(format!("unknown type {other:?} (use int/str/float/bool)")),
-    }
-}
-
-fn parse_schema(spec: &str, key: Option<&str>) -> Result<Schema, String> {
+fn parse_schema(spec: &str) -> Result<Schema, String> {
     let mut cols = Vec::new();
     for part in spec.split(',') {
         let (name, ty) = part
             .split_once(':')
             .ok_or_else(|| format!("column spec {part:?} must be name:type"))?;
-        cols.push((name.trim(), parse_type(ty.trim())?));
+        cols.push((name.trim(), ty.trim().parse::<ValueType>()?));
     }
-    let keys: Vec<&str> = key
-        .map(|k| k.split(',').map(str::trim).collect())
-        .unwrap_or_default();
-    let col_refs: Vec<(&str, ValueType)> = cols.clone();
-    Schema::build(&col_refs, &keys).map_err(|e| e.to_string())
+    Schema::build(&cols, &[]).map_err(|e| e.to_string())
 }
 
-fn parse_predicate(expr: &str, table: &cods_storage::Table) -> Result<Predicate, String> {
-    for op_str in ["!=", "<=", ">=", "=", "<", ">"] {
-        if let Some((col, lit)) = expr.split_once(op_str) {
-            let col = col.trim();
-            let lit = lit.trim();
-            let def = table.schema().column(col).map_err(|e| e.to_string())?;
-            let literal = Value::parse(lit, def.ty).map_err(|e| e.to_string())?;
-            let op = match op_str {
-                "=" => CmpOp::Eq,
-                "!=" => CmpOp::Ne,
-                "<" => CmpOp::Lt,
-                "<=" => CmpOp::Le,
-                ">" => CmpOp::Gt,
-                ">=" => CmpOp::Ge,
-                _ => unreachable!(),
+/// Argument lists of the SMO shortcuts, for their usage errors.
+const SHORTCUTS: [(&str, &str); 11] = [
+    ("create", "<table> <name:type,...> [key=<col,...>]"),
+    ("decompose", "<in> <out1> <a,b> <out2> <a,c>"),
+    ("merge", "<left> <right> <out>"),
+    ("partition", "<in> <pred> <out1> <out2>"),
+    ("union", "<left> <right> <out>"),
+    ("copy", "<from> <to>"),
+    ("rename", "<from> <to>"),
+    ("drop", "<table>"),
+    ("addcol", "<table> <name:type> <default>"),
+    ("dropcol", "<table> <col>"),
+    ("renamecol", "<table> <from> <to>"),
+];
+
+/// The SMO statement a shortcut stands for. The shortcuts are sugar over
+/// the statement language, so they share its parser, its type names and
+/// its literal rule. `Ok(None)` when `cmd` is not a shortcut.
+fn shortcut_statement(cmd: &str, args: &[&str], line: &str) -> Result<Option<String>, String> {
+    let list = |cols: &str| cols.replace(',', ", ");
+    Ok(Some(match (cmd, args) {
+        ("create", [t, spec, key @ ..]) if key.len() <= 1 => {
+            let key = match key.first().map(|k| k.strip_prefix("key=")) {
+                None => String::new(),
+                Some(Some(k)) => format!(", KEY {}", k.replace(',', " ")),
+                Some(None) => return Err("create: the optional key list is key=<col,...>".into()),
             };
-            return Ok(Predicate::Compare {
-                column: col.to_string(),
-                op,
-                literal,
-            });
+            format!("CREATE TABLE {t} ({}{key})", list(&spec.replace(':', " ")))
         }
-    }
-    Err(format!("cannot parse predicate {expr:?}"))
+        ("decompose", [i, o1, c1, o2, c2]) => {
+            format!(
+                "DECOMPOSE TABLE {i} INTO {o1} ({}), {o2} ({})",
+                list(c1),
+                list(c2)
+            )
+        }
+        ("merge", [l, r, o]) => format!("MERGE TABLES {l}, {r} INTO {o}"),
+        ("partition", [i, _, .., o1, o2]) => {
+            // The predicate is the raw text between input and outputs.
+            let pred = tail_after(line, 2)
+                .strip_suffix(*o2)
+                .and_then(|rest| rest.trim_end().strip_suffix(*o1))
+                .unwrap_or_default();
+            format!("PARTITION TABLE {i} WHERE {} INTO {o1}, {o2}", pred.trim())
+        }
+        ("union", [l, r, o]) => format!("UNION TABLES {l}, {r} INTO {o}"),
+        ("copy", [from, to]) => format!("COPY TABLE {from} TO {to}"),
+        ("rename", [from, to]) => format!("RENAME TABLE {from} TO {to}"),
+        ("drop", [t]) => format!("DROP TABLE {t}"),
+        ("addcol", [t, spec, default]) => {
+            let def = spec.replacen(':', " ", 1);
+            format!("ADD COLUMN {def} DEFAULT {default} TO {t}")
+        }
+        ("dropcol", [t, c]) => format!("DROP COLUMN {c} FROM {t}"),
+        ("renamecol", [t, from, to]) => format!("RENAME COLUMN {from} TO {to} IN {t}"),
+        _ => {
+            return match SHORTCUTS.iter().find(|(c, _)| *c == cmd) {
+                Some((c, usage)) => Err(format!("usage: {c} {usage}")),
+                None => Ok(None),
+            }
+        }
+    }))
 }
 
-fn cols_of(spec: &str) -> Vec<String> {
-    spec.split(',').map(|s| s.trim().to_string()).collect()
-}
-
-const EXPLAIN_USAGE: &str = "usage: explain agg <table> <cols|-> <op:col,…> [where <pred>] \
-                             | explain join <left> <right> <lcol=rcol,…>";
-
-/// `op:col` → aggregate expression, aliased like the server's agg output
-/// (`count(skill)`).
-fn parse_agg_expr(spec: &str) -> Result<AggExpr, String> {
-    let (op, col) = crate::remote::parse_agg_spec(spec)?;
-    let alias = format!("{op:?}({col})").to_lowercase();
-    Ok(AggExpr::new(op, col, alias))
-}
+const EXPLAIN_USAGE: &str = "usage: explain agg <table> by <cols|-> <op:col,…> [where <pred>] \
+                             | explain join <left> <right> on <lcol=rcol,…>";
 
 /// Renders the `stats` output: per-column segment-encoding histogram (a
 /// mixed directory shows e.g. `4×bitmap/12×rle`), pin state, segment
@@ -297,6 +317,12 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
         return Ok(Outcome::Continue);
     };
     let args: Vec<&str> = parts.collect();
+    if let Some(stmt) = shortcut_statement(cmd, &args, line)? {
+        let smo = cods::parse_smo(&stmt).map_err(|e| e.to_string())?;
+        let status = cods.execute(smo).map_err(|e| e.to_string())?;
+        print!("{}", status.render());
+        return Ok(Outcome::Continue);
+    }
     match cmd {
         "help" => print!("{HELP}"),
         "quit" | "exit" => return Ok(Outcome::Quit),
@@ -316,24 +342,11 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
                 );
             }
         }
-        "create" => {
-            let [name, spec, rest @ ..] = args.as_slice() else {
-                return Err("usage: create <table> <name:type,...> [key=cols]".into());
-            };
-            let key = rest.first().and_then(|s| s.strip_prefix("key="));
-            let schema = parse_schema(spec, key)?;
-            cods.execute(Smo::CreateTable {
-                name: name.to_string(),
-                schema,
-            })
-            .map_err(|e| e.to_string())?;
-            println!("created {name}");
-        }
         "load" => {
             let [name, file, spec] = args.as_slice() else {
                 return Err("usage: load <table> <file.csv> <name:type,...>".into());
             };
-            let schema = parse_schema(spec, None)?;
+            let schema = parse_schema(spec)?;
             let t = load_file(name, &schema, file, &LoadOptions::default())
                 .map_err(|e| e.to_string())?;
             let rows = t.rows();
@@ -377,228 +390,85 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
         },
         "recode" => {
             let (name, col, enc, range) = match args.as_slice() {
-                [name, col, enc] => (name, col, enc, None),
-                [name, col, enc, range] => (name, col, enc, Some(parse_segment_range(range)?)),
+                [name, col, enc] => (*name, *col, *enc, None),
+                [name, col, enc, range] => (*name, *col, *enc, Some(parse_segment_range(range)?)),
                 _ => {
                     return Err("usage: recode <table> <col|*> <rle|bitmap|auto> [from..to]".into())
                 }
             };
+            // `auto` hands back to the stats-driven chooser (clearing any
+            // pin); an explicit encoding pins against it.
+            let encoding = match enc {
+                "auto" => None,
+                "rle" => Some(cods_storage::Encoding::Rle),
+                "bitmap" => Some(cods_storage::Encoding::Bitmap),
+                other => return Err(format!("unknown encoding {other:?} (use rle/bitmap/auto)")),
+            };
             let t = cods.table(name).map_err(|e| e.to_string())?;
+            let mix = |c: &cods_storage::EncodedColumn| {
+                let (b, r) = c.encoding_counts();
+                format!("{b}\u{d7}bitmap/{r}\u{d7}rle")
+            };
             if let Some(range) = range {
                 // Segment-range form: touch only the named column's
                 // segments with indices in [from, to).
-                if *col == "*" {
+                if col == "*" {
                     return Err("segment ranges need a named column, not *".into());
                 }
-                if *enc == "auto" {
-                    let out = t
-                        .auto_encode_column_range(col, range.clone())
-                        .map_err(|e| e.to_string())?;
-                    let c = out.column_by_name(col).map_err(|e| e.to_string())?;
-                    let (b, r) = c.encoding_counts();
-                    cods.catalog().put(out);
-                    println!(
-                        "recoded {name}.{col} segments {}..{} by chooser: now {b}\u{d7}bitmap/{r}\u{d7}rle",
-                        range.start, range.end
-                    );
-                    return Ok(Outcome::Continue);
+                let out = match encoding {
+                    None => t.auto_encode_column_range(col, range.clone()),
+                    Some(e) => t.with_column_segment_range_encoding(col, e, range.clone()),
                 }
-                let encoding = match *enc {
-                    "rle" => cods_storage::Encoding::Rle,
-                    "bitmap" => cods_storage::Encoding::Bitmap,
-                    other => {
-                        return Err(format!("unknown encoding {other:?} (use rle/bitmap/auto)"))
+                .map_err(|e| e.to_string())?;
+                let how = match encoding {
+                    None => {
+                        let c = out.column_by_name(col).expect("recoded column exists");
+                        format!("by chooser: now {}", mix(c))
                     }
+                    Some(e) => format!("to {e} (pinned)"),
                 };
-                let out = t
-                    .with_column_segment_range_encoding(col, encoding, range.clone())
-                    .map_err(|e| e.to_string())?;
                 cods.catalog().put(out);
                 println!(
-                    "recoded {name}.{col} segments {}..{} to {encoding} (pinned)",
+                    "recoded {name}.{col} segments {}..{} {how}",
                     range.start, range.end
                 );
                 return Ok(Outcome::Continue);
             }
-            if *enc == "auto" {
-                // Hand the column(s) back to the stats-driven chooser:
-                // clear any pin and apply its pick.
-                let mut out = (*t).clone();
-                if *col == "*" {
-                    let names: Vec<String> =
-                        out.schema().names().iter().map(|s| s.to_string()).collect();
-                    for n in names {
-                        out = out.auto_encode_column(&n).map_err(|e| e.to_string())?;
-                    }
-                } else {
-                    out = out.auto_encode_column(col).map_err(|e| e.to_string())?;
+            let names: Vec<String> = match col {
+                "*" => t.schema().names().iter().map(|s| s.to_string()).collect(),
+                c => vec![c.to_string()],
+            };
+            let mut out = (*t).clone();
+            for n in &names {
+                out = match encoding {
+                    None => out.auto_encode_column(n),
+                    Some(e) => out.with_column_encoding_pinned(n, e),
                 }
-                let picks: Vec<String> = out
-                    .schema()
-                    .names()
-                    .iter()
-                    .zip(out.columns())
-                    .filter(|(n, _)| *col == "*" || *n == col)
-                    .map(|(n, c)| match c.uniform_encoding() {
-                        Some(e) => format!("{n}={e}"),
-                        None => {
-                            let (b, r) = c.encoding_counts();
-                            format!("{n}={b}\u{d7}bitmap/{r}\u{d7}rle")
-                        }
-                    })
-                    .collect();
-                cods.catalog().put(out);
-                println!("recoded {name}.{col} by chooser: {}", picks.join(", "));
-                return Ok(Outcome::Continue);
+                .map_err(|e| e.to_string())?;
             }
-            let encoding = match *enc {
-                "rle" => cods_storage::Encoding::Rle,
-                "bitmap" => cods_storage::Encoding::Bitmap,
-                other => return Err(format!("unknown encoding {other:?} (use rle/bitmap/auto)")),
+            let how = match encoding {
+                Some(e) => format!("to {e} (pinned)"),
+                None => {
+                    let picks: Vec<String> = names
+                        .iter()
+                        .map(|n| {
+                            let c = out.column_by_name(n).expect("recoded column exists");
+                            match c.uniform_encoding() {
+                                Some(e) => format!("{n}={e}"),
+                                None => format!("{n}={}", mix(c)),
+                            }
+                        })
+                        .collect();
+                    format!("by chooser: {}", picks.join(", "))
+                }
             };
-            // Explicit encodings pin the column against the chooser.
-            let recoded = if *col == "*" {
-                t.recoded_pinned(encoding)
-            } else {
-                t.with_column_encoding_pinned(col, encoding)
-            }
-            .map_err(|e| e.to_string())?;
-            cods.catalog().put(recoded);
-            println!("recoded {name}.{col} to {encoding} (pinned)");
-        }
-        "decompose" => {
-            let [input, out1, cols1, out2, cols2] = args.as_slice() else {
-                return Err("usage: decompose <in> <out1> <a,b> <out2> <a,c>".into());
-            };
-            let status = cods
-                .execute(Smo::DecomposeTable {
-                    input: input.to_string(),
-                    spec: DecomposeSpec {
-                        unchanged_name: out1.to_string(),
-                        unchanged_cols: cols_of(cols1),
-                        changed_name: out2.to_string(),
-                        changed_cols: cols_of(cols2),
-                        verify_fd: true,
-                    },
-                })
-                .map_err(|e| e.to_string())?;
-            print!("{}", status.render());
-        }
-        "merge" => {
-            let [left, right, out] = args.as_slice() else {
-                return Err("usage: merge <left> <right> <out>".into());
-            };
-            let status = cods
-                .execute(Smo::MergeTables {
-                    left: left.to_string(),
-                    right: right.to_string(),
-                    output: out.to_string(),
-                    strategy: MergeStrategy::Auto,
-                })
-                .map_err(|e| e.to_string())?;
-            print!("{}", status.render());
-        }
-        "partition" => {
-            let [input, pred, out1, out2] = args.as_slice() else {
-                return Err("usage: partition <in> <col><op><lit> <out1> <out2>".into());
-            };
-            let t = cods.table(input).map_err(|e| e.to_string())?;
-            let predicate = parse_predicate(pred, &t)?;
-            let status = cods
-                .execute(Smo::PartitionTable {
-                    input: input.to_string(),
-                    predicate,
-                    satisfying: out1.to_string(),
-                    rest: out2.to_string(),
-                })
-                .map_err(|e| e.to_string())?;
-            print!("{}", status.render());
-        }
-        "union" => {
-            let [left, right, out] = args.as_slice() else {
-                return Err("usage: union <left> <right> <out>".into());
-            };
-            let status = cods
-                .execute(Smo::UnionTables {
-                    left: left.to_string(),
-                    right: right.to_string(),
-                    output: out.to_string(),
-                    drop_inputs: false,
-                })
-                .map_err(|e| e.to_string())?;
-            print!("{}", status.render());
-        }
-        "copy" => {
-            let [from, to] = args.as_slice() else {
-                return Err("usage: copy <from> <to>".into());
-            };
-            cods.execute(Smo::CopyTable {
-                from: from.to_string(),
-                to: to.to_string(),
-            })
-            .map_err(|e| e.to_string())?;
-        }
-        "rename" => {
-            let [from, to] = args.as_slice() else {
-                return Err("usage: rename <from> <to>".into());
-            };
-            cods.execute(Smo::RenameTable {
-                from: from.to_string(),
-                to: to.to_string(),
-            })
-            .map_err(|e| e.to_string())?;
-        }
-        "drop" => {
-            let [name] = args.as_slice() else {
-                return Err("usage: drop <table>".into());
-            };
-            cods.execute(Smo::DropTable {
-                name: name.to_string(),
-            })
-            .map_err(|e| e.to_string())?;
-        }
-        "addcol" => {
-            let [table, spec, default] = args.as_slice() else {
-                return Err("usage: addcol <table> <name:type> <default>".into());
-            };
-            let (name, ty) = spec
-                .split_once(':')
-                .ok_or("column spec must be name:type")?;
-            let ty = parse_type(ty)?;
-            let value = Value::parse(default, ty).map_err(|e| e.to_string())?;
-            cods.execute(Smo::AddColumn {
-                table: table.to_string(),
-                column: ColumnDef::new(name, ty),
-                fill: ColumnFill::Default(value),
-            })
-            .map_err(|e| e.to_string())?;
-        }
-        "dropcol" => {
-            let [table, col] = args.as_slice() else {
-                return Err("usage: dropcol <table> <col>".into());
-            };
-            cods.execute(Smo::DropColumn {
-                table: table.to_string(),
-                column: col.to_string(),
-            })
-            .map_err(|e| e.to_string())?;
-        }
-        "renamecol" => {
-            let [table, from, to] = args.as_slice() else {
-                return Err("usage: renamecol <table> <from> <to>".into());
-            };
-            cods.execute(Smo::RenameColumn {
-                table: table.to_string(),
-                from: from.to_string(),
-                to: to.to_string(),
-            })
-            .map_err(|e| e.to_string())?;
+            cods.catalog().put(out);
+            println!("recoded {name}.{col} {how}");
         }
         "exec" => {
             // Full SMO statement language (see cods::parser), e.g.
             //   exec DECOMPOSE TABLE R INTO S (employee, skill), T (employee, address)
-            let stmt = line["exec".len()..].trim();
-            let smo = cods::parse_smo(stmt).map_err(|e| e.to_string())?;
+            let smo = cods::parse_smo(tail_after(line, 1)).map_err(|e| e.to_string())?;
             let status = cods.execute(smo).map_err(|e| e.to_string())?;
             print!("{}", status.render());
         }
@@ -636,60 +506,40 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
             print!("{}", plan.describe());
         }
         "explain" => {
-            let plan = match args.as_slice() {
-                ["agg", table, groups, specs, rest @ ..] => {
-                    let t = cods.table(table).map_err(|e| e.to_string())?;
-                    let pred = match rest {
-                        [] => Predicate::True,
-                        ["where", expr @ ..] if !expr.is_empty() => {
-                            parse_predicate(&expr.join(" "), &t)?
-                        }
-                        _ => return Err(EXPLAIN_USAGE.into()),
-                    };
-                    let group_by: Vec<String> = if *groups == "-" {
-                        Vec::new()
-                    } else {
-                        cols_of(groups)
-                    };
-                    let aggs: Vec<AggExpr> = specs
-                        .split(',')
-                        .map(parse_agg_expr)
-                        .collect::<Result<_, _>>()?;
-                    let scan = Plan::ScanColumn {
-                        table: table.to_string(),
-                    };
-                    let input = if matches!(pred, Predicate::True) {
-                        scan
-                    } else {
-                        scan.filter(pred)
+            let kind = args.first().copied().unwrap_or_default();
+            let plan = match parse_query(kind, tail_after(line, 2)) {
+                Ok(Command::GroupBy {
+                    table,
+                    predicate,
+                    group_by,
+                    aggs,
+                }) => {
+                    let scan = Plan::ScanColumn { table };
+                    let input = match predicate {
+                        Predicate::True => scan,
+                        p => scan.filter(p),
                     };
                     Plan::Aggregate {
                         input: Box::new(input),
                         group_by,
-                        aggs,
+                        aggs: aggs
+                            .into_iter()
+                            .map(|(op, c)| AggExpr::named(op, c))
+                            .collect(),
                     }
                 }
-                ["join", left, right, pairs] => {
-                    let mut left_keys = Vec::new();
-                    let mut right_keys = Vec::new();
-                    for pair in pairs.split(',') {
-                        let (lk, rk) = pair
-                            .split_once('=')
-                            .ok_or_else(|| format!("bad key pair {pair:?}, want lcol=rcol"))?;
-                        left_keys.push(lk.trim().to_string());
-                        right_keys.push(rk.trim().to_string());
-                    }
-                    Plan::HashJoin {
-                        left: Box::new(Plan::ScanColumn {
-                            table: left.to_string(),
-                        }),
-                        right: Box::new(Plan::ScanColumn {
-                            table: right.to_string(),
-                        }),
-                        left_keys,
-                        right_keys,
-                    }
-                }
+                Ok(Command::Join {
+                    left,
+                    right,
+                    left_keys,
+                    right_keys,
+                }) => Plan::HashJoin {
+                    left: Box::new(Plan::ScanColumn { table: left }),
+                    right: Box::new(Plan::ScanColumn { table: right }),
+                    left_keys,
+                    right_keys,
+                },
+                Err(e) if matches!(kind, "agg" | "join") => return Err(e),
                 _ => return Err(EXPLAIN_USAGE.into()),
             };
             let ctx = ExecContext {
@@ -822,15 +672,21 @@ mod tests {
         // Output goes to stdout; here we only check the commands parse,
         // resolve columns, and execute without error. Rendering is
         // covered by cods_query's explain tests.
-        run(&mut cods, "explain agg R employee count:skill");
+        run(&mut cods, "explain agg R by employee count:skill");
         run(
             &mut cods,
-            "explain agg R - count:skill where employee=Jones",
+            "explain agg R by - count:skill where employee = 'Jones' or skill=Typing",
         );
-        run(&mut cods, "explain join R R2 employee=employee");
+        run(&mut cods, "explain join R R2 on employee=employee");
         assert!(run_command(&mut cods, "explain agg").is_err());
-        assert!(run_command(&mut cods, "explain join R R2 employee").is_err());
-        assert!(run_command(&mut cods, "explain agg R employee bogus:skill").is_err());
+        assert!(run_command(&mut cods, "explain join R R2 on employee").is_err());
+        assert!(run_command(&mut cods, "explain agg R by employee bogus:skill").is_err());
+        assert!(run_command(&mut cods, "explain count R").is_err());
+        // Resolution errors surface too: unknown aggregate column, unequal
+        // join key lists, an ill-typed literal.
+        assert!(run_command(&mut cods, "explain agg R by employee count:nope").is_err());
+        assert!(run_command(&mut cods, "explain join R R2 on employee=employee,skill").is_err());
+        assert!(run_command(&mut cods, "explain agg R by - count:skill where skill = 3").is_err());
     }
 
     #[test]
@@ -850,6 +706,13 @@ mod tests {
         let mut cods = shell();
         run(&mut cods, "create t id:int,name:str key=id");
         assert!(cods.catalog().contains("t"));
+        // The CLI reads the same type names as SMO scripts.
+        run(&mut cods, "create u a:integer,b:varchar,c:double,d:boolean");
+        assert_eq!(
+            cods.table("u").unwrap().schema().columns()[2].ty,
+            ValueType::Float
+        );
+        run(&mut cods, "drop u");
         run(&mut cods, "addcol t dept:str eng");
         assert!(cods.table("t").unwrap().schema().contains("dept"));
         run(&mut cods, "renamecol t dept division");
@@ -1016,25 +879,77 @@ mod tests {
     }
 
     #[test]
-    fn predicate_operators_parse() {
+    fn partition_reads_the_shared_predicate_grammar() {
         let mut cods = shell();
         run(&mut cods, "create t v:int");
-        let table = cods.table("t").unwrap();
-        for (expr, op) in [
-            ("v=3", CmpOp::Eq),
-            ("v!=3", CmpOp::Ne),
-            ("v<3", CmpOp::Lt),
-            ("v<=3", CmpOp::Le),
-            ("v>3", CmpOp::Gt),
-            ("v>=3", CmpOp::Ge),
+        for expr in [
+            "v=3",
+            "v == 3",
+            "v!=3",
+            "v <> 3",
+            "v<3",
+            "v <= 3",
+            "v>3",
+            "v >= 3 AND NOT (v = 4 OR v = 5)",
         ] {
-            match parse_predicate(expr, &table).unwrap() {
-                Predicate::Compare { op: got, .. } => assert_eq!(got, op, "{expr}"),
-                other => panic!("unexpected predicate {other:?}"),
-            }
+            run(&mut cods, &format!("partition t {expr} a b"));
+            run(&mut cods, "union a b t");
+            run(&mut cods, "drop a");
+            run(&mut cods, "drop b");
         }
-        assert!(parse_predicate("nonsense", &table).is_err());
-        assert!(parse_predicate("missing=1", &table).is_err());
+        assert!(run_command(&mut cods, "partition t nonsense a b").is_err());
+        assert!(run_command(&mut cods, "partition t missing=1 a b").is_err());
+        assert!(run_command(&mut cods, "partition t a b").is_err());
+    }
+
+    #[test]
+    fn local_literals_are_typed_by_the_one_rule() {
+        let mut cods = shell();
+        run(&mut cods, "create t price:double,zip:varchar,name:text");
+        let rows = [
+            (1.5, "02139", "salt and pepper"),
+            (2.5, "10001", "x"),
+            (7.0, "02139", "y"),
+        ];
+        let rows: Vec<Vec<cods_storage::Value>> = rows
+            .iter()
+            .map(|&(p, z, n)| {
+                vec![
+                    cods_storage::Value::float(p),
+                    cods_storage::Value::str(z),
+                    cods_storage::Value::str(n),
+                ]
+            })
+            .collect();
+        let schema = cods.table("t").unwrap().schema().clone();
+        cods.catalog()
+            .put(cods_storage::Table::from_rows("t", schema, &rows).unwrap());
+        // PARTITION consumes its input: split a fresh copy each time.
+        let selected = |cods: &mut Cods, pred: &str| -> Result<u64, String> {
+            run(cods, "copy t p");
+            let out = run_command(cods, &format!("partition p {pred} s r"));
+            let rows = out.map(|_| cods.table("s").unwrap().rows());
+            for t in ["p", "s", "r"] {
+                let _ = run_command(cods, &format!("drop {t}"));
+            }
+            rows
+        };
+        // An int literal on a float column compares as a float.
+        assert_eq!(selected(&mut cods, "price<3"), Ok(2));
+        // Digits on a str column must be quoted; quoted they select.
+        let err = selected(&mut cods, "zip=02139").unwrap_err();
+        assert!(err.contains("zip") && err.contains("quote"), "{err}");
+        assert_eq!(selected(&mut cods, "zip = '02139'"), Ok(2));
+        // Quoted literals keep their keywords and spaces.
+        assert_eq!(selected(&mut cods, "name = 'salt and pepper'"), Ok(1));
+        // ADD COLUMN defaults follow the same rule.
+        run(&mut cods, "addcol t rate:float 2");
+        assert!(run_command(&mut cods, "addcol t code:str 7").is_err());
+        run(&mut cods, "addcol t code:str '7'");
+        assert_eq!(
+            cods.table("t").unwrap().row(0)[3],
+            cods_storage::Value::float(2.0)
+        );
     }
 
     #[test]

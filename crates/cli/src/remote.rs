@@ -10,17 +10,19 @@
 //! metrics                                 server counters + buffer cache
 //! stats <table>                           table statistics at the snapshot
 //! tables? use `metrics` / `stats`; the catalog listing is script-side
-//! count <table> [where <col> <op> <lit>]  predicate-selected row count
+//! count <table> [where <pred>]            predicate-selected row count
 //! scan <table> [select c1,c2] [where …]   stream selected rows
 //! agg <table> by <c1,c2|-> <op:col,…> [where …]
 //! join <left> <right> on <lcol=rcol,…>    partition-wise hash join
 //! run <smo script>                        execute an SMO line remotely
 //! quit
 //! ```
+//!
+//! The count/scan/agg/join tails are [`crate::query`]'s grammar, the same
+//! one the local shell's `explain` reads.
 
-use cods_query::pred::parse_literal;
-use cods_query::{AggOp, CmpOp, Predicate};
-use cods_server::{Client, ClientError, ServerConfig};
+use crate::query::{parse_query, tail_after};
+use cods_server::{Client, ClientError, Command, ServerConfig};
 use std::io::Write;
 use std::time::Duration;
 
@@ -216,107 +218,70 @@ pub fn connect_command(
             )
             .ok();
         }
-        "count" => {
-            let (table, tail) = rest.split_first().ok_or("usage: count <table> [where …]")?;
-            let pred = parse_where(tail)?;
-            let (rows, selected, v) = client.mask(table, pred).map_err(fmt_err)?;
-            writeln!(out, "{selected} of {rows} rows satisfy (catalog v{v})").ok();
-        }
-        "scan" => {
-            let (table, tail) = rest.split_first().ok_or("usage: scan <table> …")?;
-            let (projection, tail) = parse_select(tail)?;
-            let pred = parse_where(tail)?;
-            let summary = client
-                .scan_with(table, pred, projection, |cols, rows| {
-                    for row in rows {
-                        let cells: Vec<String> = cols
-                            .iter()
-                            .zip(&row)
-                            .map(|((name, _), v)| format!("{name}={v}"))
-                            .collect();
-                        writeln!(out, "  {}", cells.join(", ")).ok();
-                    }
-                })
-                .map_err(fmt_err)?;
-            writeln!(
-                out,
-                "{} row(s) in {} batch(es)",
-                summary.rows, summary.batches
-            )
-            .ok();
-        }
-        "agg" => {
-            // agg <table> by <c1,c2|-> <op:col,…> [where …]
-            let (table, tail) = rest.split_first().ok_or(AGG_USAGE)?;
-            let tail = match tail.split_first() {
-                Some((&"by", t)) => t,
-                _ => return Err(AGG_USAGE.into()),
-            };
-            let (groups, tail) = tail.split_first().ok_or(AGG_USAGE)?;
-            let group_by: Vec<String> = if *groups == "-" {
-                Vec::new()
-            } else {
-                groups.split(',').map(str::to_string).collect()
-            };
-            let (specs, tail) = tail.split_first().ok_or(AGG_USAGE)?;
-            let aggs: Vec<(AggOp, String)> = specs
-                .split(',')
-                .map(parse_agg_spec)
-                .collect::<Result<_, String>>()?;
-            let pred = parse_where(tail)?;
-            // The chunked GroupBy command: identical results to Agg, but
-            // group batches arrive in bounded frames.
-            let (cols, rows) = client
-                .group_by(table, pred, group_by, aggs)
-                .map_err(fmt_err)?;
-            let names: Vec<&str> = cols.iter().map(|(n, _)| n.as_str()).collect();
-            writeln!(out, "  {}", names.join(" | ")).ok();
-            for row in &rows {
-                let cells: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-                writeln!(out, "  {}", cells.join(" | ")).ok();
+        "count" | "scan" | "agg" | "join" => match parse_query(cmd, tail_after(line, 1))? {
+            Command::Mask { table, predicate } => {
+                let (rows, selected, v) = client.mask(&table, predicate).map_err(fmt_err)?;
+                writeln!(out, "{selected} of {rows} rows satisfy (catalog v{v})").ok();
             }
-            writeln!(out, "{} group(s)", rows.len()).ok();
-        }
-        "join" => {
-            // join <left> <right> on <lcol=rcol,…>
-            let (left, right, pairs) = match rest.as_slice() {
-                [l, r, on, p] if *on == "on" => (*l, *r, *p),
-                _ => return Err(JOIN_USAGE.into()),
-            };
-            let mut left_keys = Vec::new();
-            let mut right_keys = Vec::new();
-            for pair in pairs.split(',') {
-                let (lk, rk) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad key pair {pair:?}, want lcol=rcol"))?;
-                left_keys.push(lk.to_string());
-                right_keys.push(rk.to_string());
+            Command::Scan {
+                table,
+                projection,
+                predicate,
+            } => {
+                let summary = client
+                    .scan_with(&table, predicate, projection, |cols, rows| {
+                        write_rows(out, cols, rows)
+                    })
+                    .map_err(fmt_err)?;
+                writeln!(
+                    out,
+                    "{} row(s) in {} batch(es)",
+                    summary.rows, summary.batches
+                )
+                .ok();
             }
-            let summary = client
-                .join_with(left, right, left_keys, right_keys, |cols, rows| {
-                    for row in rows {
-                        let cells: Vec<String> = cols
-                            .iter()
-                            .zip(&row)
-                            .map(|((name, _), v)| format!("{name}={v}"))
-                            .collect();
-                        writeln!(out, "  {}", cells.join(", ")).ok();
-                    }
-                })
-                .map_err(fmt_err)?;
-            writeln!(
-                out,
-                "{} match(es) in {} batch(es)",
-                summary.rows, summary.batches
-            )
-            .ok();
-        }
+            Command::GroupBy {
+                table,
+                predicate,
+                group_by,
+                aggs,
+            } => {
+                let (cols, rows) = client
+                    .group_by(&table, predicate, group_by, aggs)
+                    .map_err(fmt_err)?;
+                let names: Vec<&str> = cols.iter().map(|(n, _)| n.as_str()).collect();
+                writeln!(out, "  {}", names.join(" | ")).ok();
+                for row in &rows {
+                    let cells: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
+                    writeln!(out, "  {}", cells.join(" | ")).ok();
+                }
+                writeln!(out, "{} group(s)", rows.len()).ok();
+            }
+            Command::Join {
+                left,
+                right,
+                left_keys,
+                right_keys,
+            } => {
+                let summary = client
+                    .join_with(&left, &right, left_keys, right_keys, |cols, rows| {
+                        write_rows(out, cols, rows)
+                    })
+                    .map_err(fmt_err)?;
+                writeln!(
+                    out,
+                    "{} match(es) in {} batch(es)",
+                    summary.rows, summary.batches
+                )
+                .ok();
+            }
+            other => unreachable!("not a query command: {other:?}"),
+        },
         "run" => {
             if rest.is_empty() {
                 return Err("usage: run <smo script line>".into());
             }
-            let script = rest.join(" ");
-            let msg = client.script(&script).map_err(fmt_err)?;
+            let msg = client.script(tail_after(line, 1)).map_err(fmt_err)?;
             writeln!(out, "{msg}").ok();
         }
         "help" => {
@@ -331,58 +296,23 @@ pub fn connect_command(
     Ok(false)
 }
 
-const AGG_USAGE: &str = "usage: agg <table> by <c1,c2|-> <op:col,…> [where …]";
-const JOIN_USAGE: &str = "usage: join <left> <right> on <lcol=rcol,…>";
-
 fn fmt_err(e: ClientError) -> String {
     e.to_string()
 }
 
-/// `op:col` → aggregate spec; ops: count, distinct, sum, min, max.
-pub(crate) fn parse_agg_spec(spec: &str) -> Result<(AggOp, String), String> {
-    let (op, col) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("bad aggregate {spec:?}, want op:col"))?;
-    Ok((op.parse()?, col.to_string()))
-}
-
-/// Optional `select c1,c2` prefix; returns the projection and the rest.
-fn parse_select<'a>(words: &'a [&'a str]) -> Result<(Option<Vec<String>>, &'a [&'a str]), String> {
-    match words.split_first() {
-        Some((&"select", tail)) => {
-            let (cols, tail) = tail
-                .split_first()
-                .ok_or("select needs a column list: select c1,c2")?;
-            Ok((Some(cols.split(',').map(str::to_string).collect()), tail))
-        }
-        _ => Ok((None, words)),
-    }
-}
-
-/// Optional `where <col> <op> <literal>` suffix → predicate.
-fn parse_where(words: &[&str]) -> Result<Predicate, String> {
-    match words.split_first() {
-        None => Ok(Predicate::True),
-        Some((&"where", tail)) => match tail {
-            [col, op, lit @ ..] if !lit.is_empty() => {
-                let op = match *op {
-                    "=" | "==" => CmpOp::Eq,
-                    "!=" | "<>" => CmpOp::Ne,
-                    "<" => CmpOp::Lt,
-                    "<=" => CmpOp::Le,
-                    ">" => CmpOp::Gt,
-                    ">=" => CmpOp::Ge,
-                    other => return Err(format!("unknown comparison {other:?}")),
-                };
-                Ok(Predicate::Compare {
-                    column: (*col).to_string(),
-                    op,
-                    literal: parse_literal(&lit.join(" ")),
-                })
-            }
-            _ => Err("usage: where <column> <op> <literal>".into()),
-        },
-        Some((other, _)) => Err(format!("expected `where`, got {other:?}")),
+/// One `name=value, …` line per streamed row.
+fn write_rows(
+    out: &mut impl Write,
+    cols: &[(String, cods_storage::ValueType)],
+    rows: Vec<Vec<cods_storage::Value>>,
+) {
+    for row in rows {
+        let cells: Vec<String> = cols
+            .iter()
+            .zip(&row)
+            .map(|((name, _), v)| format!("{name}={v}"))
+            .collect();
+        writeln!(out, "  {}", cells.join(", ")).ok();
     }
 }
 
@@ -450,6 +380,53 @@ mod tests {
         let mut out = Vec::new();
         assert!(connect_command(&mut client, "join R R2 on", &mut out).is_err());
         assert!(connect_command(&mut client, "join R R2 on employee", &mut out).is_err());
+    }
+
+    #[test]
+    fn repl_literals_are_typed_by_the_one_rule() {
+        use cods_storage::{Schema, Table, Value, ValueType};
+        let cods = cods::Cods::new();
+        let schema = Schema::build(
+            &[
+                ("price", ValueType::Float),
+                ("zip", ValueType::Str),
+                ("name", ValueType::Str),
+            ],
+            &[],
+        )
+        .unwrap();
+        let rows: Vec<Vec<Value>> = [
+            (1.5, "02139", "salt and pepper"),
+            (2.5, "10001", "x"),
+            (7.0, "02139", "y"),
+        ]
+        .iter()
+        .map(|&(p, z, n)| vec![Value::float(p), Value::str(z), Value::str(n)])
+        .collect();
+        cods.catalog()
+            .create(Table::from_rows("t", schema, &rows).unwrap())
+            .unwrap();
+        let server = Server::bind("127.0.0.1:0", Arc::new(cods), ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let count = run(&mut client, "count t where price < 3");
+        assert!(count.contains("2 of 3 rows"), "got: {count}");
+        let err =
+            connect_command(&mut client, "count t where zip = 02139", &mut Vec::new()).unwrap_err();
+        assert!(err.contains("zip") && err.contains("quote"), "got: {err}");
+        let count = run(&mut client, "count t where zip = '02139'");
+        assert!(count.contains("2 of 3 rows"), "got: {count}");
+        let count = run(
+            &mut client,
+            "count t where name='salt and pepper' or price>5",
+        );
+        assert!(count.contains("2 of 3 rows"), "got: {count}");
+        // `run` ships the raw statement, quoted spacing intact.
+        let msg = run(
+            &mut client,
+            "run PARTITION TABLE t WHERE name = 'salt and pepper' INTO a, b",
+        );
+        assert!(msg.contains("committed"), "got: {msg}");
+        assert!(run(&mut client, "stats a").contains("1 rows"));
     }
 
     #[test]

@@ -332,10 +332,7 @@ pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome
     tracker.step_items("reuse unchanged columns", unchanged.arity() as u64);
 
     // Step 1 — distinction over the common (key) columns.
-    let key_idx: Vec<usize> = common
-        .iter()
-        .map(|n| Ok(input.schema().index_of(n)?))
-        .collect::<Result<_>>()?;
+    let key_idx = input.schema().indices_of(&common)?;
     let (positions, groups) = distinction(input, &key_idx, spec.verify_fd);
     tracker.step_items("distinction", positions.len() as u64);
 

@@ -113,10 +113,6 @@ impl RunSink {
     }
 }
 
-fn join_indices(schema: &Schema, join_cols: &[String]) -> Result<Vec<usize>> {
-    join_cols.iter().map(|n| Ok(schema.index_of(n)?)).collect()
-}
-
 fn validate_join(left: &Table, right: &Table, join_cols: &[String]) -> Result<()> {
     validate_join_schemas(
         left.schema(),
@@ -192,8 +188,8 @@ pub fn merge_key_fk(
 ) -> Result<MergeOutcome> {
     let mut tracker = StatusTracker::new();
     validate_join(reusable, keyed, join_cols)?;
-    let r_join = join_indices(reusable.schema(), join_cols)?;
-    let k_join = join_indices(keyed.schema(), join_cols)?;
+    let r_join = reusable.schema().indices_of(join_cols)?;
+    let k_join = keyed.schema().indices_of(join_cols)?;
 
     if !is_unique_on(keyed, &k_join) {
         return Err(EvolutionError::InvalidOperator(format!(
@@ -336,8 +332,8 @@ pub fn merge_general(
 ) -> Result<MergeOutcome> {
     let mut tracker = StatusTracker::new();
     validate_join(left, right, join_cols)?;
-    let l_join = join_indices(left.schema(), join_cols)?;
-    let r_join = join_indices(right.schema(), join_cols)?;
+    let l_join = left.schema().indices_of(join_cols)?;
+    let r_join = right.schema().indices_of(join_cols)?;
 
     // ---- Pass 1: occurrence counts of every distinct join combination ----
     // Left side grouping (combos live in left-id space).
@@ -645,7 +641,7 @@ pub fn merge(
             }
         }
         MergeStrategy::Auto => {
-            let r_join = join_indices(right.schema(), &join_cols)?;
+            let r_join = right.schema().indices_of(&join_cols)?;
             if is_unique_on(right, &r_join) {
                 match merge_key_fk(left, right, output_name, &join_cols) {
                     Err(EvolutionError::ForeignKeyViolation(_)) => {
@@ -654,7 +650,7 @@ pub fn merge(
                     other => other,
                 }
             } else {
-                let l_join = join_indices(left.schema(), &join_cols)?;
+                let l_join = left.schema().indices_of(&join_cols)?;
                 if is_unique_on(left, &l_join) {
                     match merge_key_fk(right, left, output_name, &join_cols) {
                         Err(EvolutionError::ForeignKeyViolation(_)) => {

@@ -1,7 +1,9 @@
 //! A textual statement language for SMOs, in the style the demo UI uses to
 //! specify operators. The grammar matches what [`Smo`]'s `Display`
 //! implementation renders for the data-moving operators, so statements can
-//! be logged, stored, and replayed:
+//! be logged, stored, and replayed. PARTITION's condition is the predicate
+//! grammar of [`cods_query::pred`], quote-aware with AND/OR/NOT and
+//! parentheses:
 //!
 //! ```text
 //! CREATE TABLE t (id int, name str, KEY id)
@@ -9,7 +11,7 @@
 //! RENAME TABLE old TO new
 //! COPY TABLE src TO dst
 //! UNION TABLES a, b INTO out
-//! PARTITION TABLE t WHERE col < 10 INTO sat, rest
+//! PARTITION TABLE t WHERE col < 10 AND (name = 'salt and pepper' OR NOT ok = true) INTO sat, rest
 //! DECOMPOSE TABLE r INTO s (a, b), t (a, c)
 //! MERGE TABLES s, t INTO r
 //! ADD COLUMN c int DEFAULT 0 TO t
@@ -17,15 +19,17 @@
 //! RENAME COLUMN a TO b IN t
 //! ```
 //!
-//! Keywords are case-insensitive; identifiers are case-sensitive.
+//! Keywords are case-insensitive; identifiers are case-sensitive. Type
+//! names are [`ValueType`]'s `FromStr` names; a DEFAULT is a literal typed
+//! by the predicate language's rule ([`cods_query::pred::bind_literal`]).
 
 use crate::decompose::DecomposeSpec;
 use crate::error::{EvolutionError, Result};
 use crate::merge::MergeStrategy;
 use crate::simple_ops::ColumnFill;
 use crate::smo::Smo;
-use cods_query::pred::{parse_literal, CmpOp, Predicate};
-use cods_storage::{ColumnDef, Schema, Value, ValueType};
+use cods_query::pred::{bind_literal, parse_literal, Predicate};
+use cods_storage::{ColumnDef, Schema};
 
 fn err(msg: impl Into<String>) -> EvolutionError {
     EvolutionError::InvalidOperator(msg.into())
@@ -51,23 +55,37 @@ fn split_top_level_commas(s: &str) -> Vec<&str> {
     parts
 }
 
-fn parse_type(s: &str) -> Result<ValueType> {
-    match s.to_ascii_lowercase().as_str() {
-        "int" | "integer" => Ok(ValueType::Int),
-        "str" | "string" | "text" | "varchar" => Ok(ValueType::Str),
-        "float" | "double" | "real" => Ok(ValueType::Float),
-        "bool" | "boolean" => Ok(ValueType::Bool),
-        other => Err(err(format!("unknown type {other:?}"))),
-    }
+/// Byte offsets of `s` that lie outside single-quoted literals.
+fn unquoted(s: &str) -> impl Iterator<Item = usize> + '_ {
+    let mut quoted = false;
+    s.char_indices().filter_map(move |(i, c)| {
+        quoted ^= c == '\'';
+        (!quoted && c != '\'').then_some(i)
+    })
 }
 
-/// Case-insensitive split on the first occurrence of ` <kw> ` as a word.
+/// Case-insensitive split on the first unquoted ` <kw> ` as a word.
 fn split_keyword<'a>(s: &'a str, kw: &str) -> Option<(&'a str, &'a str)> {
-    let lower = s.to_ascii_lowercase();
-    let pat = format!(" {} ", kw.to_ascii_lowercase());
-    lower
-        .find(&pat)
+    let pat = format!(" {kw} ");
+    unquoted(s)
+        .find(|&i| {
+            s.get(i..i + pat.len())
+                .is_some_and(|w| w.eq_ignore_ascii_case(&pat))
+        })
         .map(|i| (s[..i].trim(), s[i + pat.len()..].trim()))
+}
+
+/// `s` split at its first unquoted keyword `kw`, which `stmt` requires.
+fn expect<'a>(s: &'a str, kw: &str, stmt: &str) -> Result<(&'a str, &'a str)> {
+    split_keyword(s, kw).ok_or_else(|| err(format!("{stmt} needs `{}`", kw.to_uppercase())))
+}
+
+/// Exactly two comma-separated parts, the `what` of statement `stmt`.
+fn two<'a>(s: &'a str, stmt: &str, what: &str) -> Result<(&'a str, &'a str)> {
+    match split_top_level_commas(s).as_slice() {
+        [a, b] => Ok((a, b)),
+        _ => Err(err(format!("{stmt} needs exactly two {what}"))),
+    }
 }
 
 fn parse_name_cols(part: &str) -> Result<(String, Vec<String>)> {
@@ -94,203 +112,124 @@ fn parse_name_cols(part: &str) -> Result<(String, Vec<String>)> {
     Ok((name.to_string(), cols))
 }
 
-fn parse_predicate(s: &str) -> Result<Predicate> {
-    // `col <op> literal`, with AND/OR/NOT combinators, left-associative.
-    let lower = s.to_ascii_lowercase();
-    if let Some(i) = lower.find(" or ") {
-        return Ok(parse_predicate(&s[..i])?.or(parse_predicate(&s[i + 4..])?));
-    }
-    if let Some(i) = lower.find(" and ") {
-        return Ok(parse_predicate(&s[..i])?.and(parse_predicate(&s[i + 5..])?));
-    }
-    let t = s.trim();
-    if let Some(rest) = t.strip_prefix("NOT ").or_else(|| t.strip_prefix("not ")) {
-        return Ok(parse_predicate(rest)?.not());
-    }
-    for (sym, op) in [
-        ("!=", CmpOp::Ne),
-        ("<=", CmpOp::Le),
-        (">=", CmpOp::Ge),
-        ("=", CmpOp::Eq),
-        ("<", CmpOp::Lt),
-        (">", CmpOp::Gt),
-    ] {
-        if let Some((col, lit)) = t.split_once(sym) {
-            let col = col.trim();
-            let lit = lit.trim();
-            if col.is_empty() || lit.is_empty() {
-                return Err(err(format!("malformed comparison {t:?}")));
-            }
-            return Ok(Predicate::Compare {
-                column: col.to_string(),
-                op,
-                literal: parse_literal(lit),
-            });
-        }
-    }
-    Err(err(format!("cannot parse predicate {t:?}")))
-}
-
 /// Parses one SMO statement.
 pub fn parse_smo(stmt: &str) -> Result<Smo> {
     let s = stmt.trim().trim_end_matches(';').trim();
-    let lower = s.to_ascii_lowercase();
-
-    if let Some(rest) = lower.strip_prefix("create table ") {
-        let rest_orig = &s[s.len() - rest.len()..];
-        let (name, cols) = parse_name_cols(rest_orig)?;
-        let mut defs = Vec::new();
-        let mut keys: Vec<String> = Vec::new();
-        for c in cols {
-            if let Some(k) = c.strip_prefix("KEY ").or_else(|| c.strip_prefix("key ")) {
-                keys.extend(k.split_whitespace().map(str::to_string));
-                continue;
+    // The statement is named by its first two words.
+    let mut words = s.splitn(3, char::is_whitespace);
+    let head = format!(
+        "{} {}",
+        words.next().unwrap_or(""),
+        words.next().unwrap_or("")
+    );
+    let head = head.to_ascii_uppercase();
+    let rest = words.next().unwrap_or("").trim();
+    let owned = |(a, b): (&str, &str)| (a.to_string(), b.to_string());
+    Ok(match head.as_str() {
+        "CREATE TABLE" => {
+            let (name, cols) = parse_name_cols(rest)?;
+            let mut defs = Vec::new();
+            let mut keys: Vec<&str> = Vec::new();
+            for c in &cols {
+                if let Some(k) = c.strip_prefix("KEY ").or_else(|| c.strip_prefix("key ")) {
+                    keys.extend(k.split_whitespace());
+                    continue;
+                }
+                let (cname, ty) = c
+                    .split_once(' ')
+                    .ok_or_else(|| err(format!("column def {c:?} must be `name type`")))?;
+                defs.push((cname.trim(), ty.trim().parse().map_err(err)?));
             }
-            let (cname, ty) = c
-                .split_once(' ')
-                .ok_or_else(|| err(format!("column def {c:?} must be `name type`")))?;
-            defs.push(ColumnDef::new(cname.trim(), parse_type(ty.trim())?));
+            let schema = Schema::build(&defs, &keys).map_err(EvolutionError::Storage)?;
+            Smo::CreateTable { name, schema }
         }
-        let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-        let col_specs: Vec<(&str, ValueType)> =
-            defs.iter().map(|d| (d.name.as_str(), d.ty)).collect();
-        let schema = Schema::build(&col_specs, &key_refs).map_err(EvolutionError::Storage)?;
-        return Ok(Smo::CreateTable { name, schema });
-    }
-    if let Some(rest) = lower.strip_prefix("drop table ") {
-        let name = s[s.len() - rest.len()..].trim();
-        return Ok(Smo::DropTable {
-            name: name.to_string(),
-        });
-    }
-    if lower.starts_with("rename table ") {
-        let rest = s["rename table ".len()..].trim();
-        let (from, to) = split_keyword(rest, "to").ok_or_else(|| err("RENAME TABLE needs `TO`"))?;
-        return Ok(Smo::RenameTable {
-            from: from.to_string(),
-            to: to.to_string(),
-        });
-    }
-    if lower.starts_with("copy table ") {
-        let rest = s["copy table ".len()..].trim();
-        let (from, to) = split_keyword(rest, "to").ok_or_else(|| err("COPY TABLE needs `TO`"))?;
-        return Ok(Smo::CopyTable {
-            from: from.to_string(),
-            to: to.to_string(),
-        });
-    }
-    if lower.starts_with("union tables ") {
-        let rest = s["union tables ".len()..].trim();
-        let (inputs, output) =
-            split_keyword(rest, "into").ok_or_else(|| err("UNION TABLES needs `INTO`"))?;
-        let parts = split_top_level_commas(inputs);
-        let [left, right] = parts.as_slice() else {
-            return Err(err("UNION TABLES needs exactly two inputs"));
-        };
-        return Ok(Smo::UnionTables {
-            left: left.to_string(),
-            right: right.to_string(),
-            output: output.to_string(),
-            drop_inputs: false,
-        });
-    }
-    if lower.starts_with("partition table ") {
-        let rest = s["partition table ".len()..].trim();
-        let (input, where_into) =
-            split_keyword(rest, "where").ok_or_else(|| err("PARTITION TABLE needs `WHERE`"))?;
-        let (pred_text, outputs) =
-            split_keyword(where_into, "into").ok_or_else(|| err("PARTITION TABLE needs `INTO`"))?;
-        let parts = split_top_level_commas(outputs);
-        let [sat, rest_name] = parts.as_slice() else {
-            return Err(err("PARTITION TABLE needs two outputs"));
-        };
-        return Ok(Smo::PartitionTable {
-            input: input.to_string(),
-            predicate: parse_predicate(pred_text)?,
-            satisfying: sat.to_string(),
-            rest: rest_name.to_string(),
-        });
-    }
-    if lower.starts_with("decompose table ") {
-        let rest = s["decompose table ".len()..].trim();
-        let (input, outputs) =
-            split_keyword(rest, "into").ok_or_else(|| err("DECOMPOSE TABLE needs `INTO`"))?;
-        let parts = split_top_level_commas(outputs);
-        let [first, second] = parts.as_slice() else {
-            return Err(err("DECOMPOSE TABLE needs exactly two outputs"));
-        };
-        let (un_name, un_cols) = parse_name_cols(first)?;
-        let (ch_name, ch_cols) = parse_name_cols(second)?;
-        return Ok(Smo::DecomposeTable {
-            input: input.to_string(),
-            spec: DecomposeSpec {
-                unchanged_name: un_name,
-                unchanged_cols: un_cols,
-                changed_name: ch_name,
-                changed_cols: ch_cols,
-                verify_fd: true,
-            },
-        });
-    }
-    if lower.starts_with("merge tables ") {
-        let rest = s["merge tables ".len()..].trim();
-        let (inputs, output) =
-            split_keyword(rest, "into").ok_or_else(|| err("MERGE TABLES needs `INTO`"))?;
-        let parts = split_top_level_commas(inputs);
-        let [left, right] = parts.as_slice() else {
-            return Err(err("MERGE TABLES needs exactly two inputs"));
-        };
-        return Ok(Smo::MergeTables {
-            left: left.to_string(),
-            right: right.to_string(),
-            output: output.to_string(),
-            strategy: MergeStrategy::Auto,
-        });
-    }
-    if lower.starts_with("add column ") {
-        let rest = s["add column ".len()..].trim();
-        let (def_part, table) =
-            split_keyword(rest, "to").ok_or_else(|| err("ADD COLUMN needs `TO`"))?;
-        let (col_part, default) = match split_keyword(def_part, "default") {
-            Some((c, d)) => (c, Some(d)),
-            None => (def_part, None),
-        };
-        let (cname, ty) = col_part
-            .split_once(' ')
-            .ok_or_else(|| err("ADD COLUMN needs `name type`"))?;
-        let ty = parse_type(ty.trim())?;
-        let fill = match default {
-            Some(d) => ColumnFill::Default(Value::parse(d.trim_matches('\''), ty).map_err(err)?),
-            None => ColumnFill::Default(Value::Null),
-        };
-        return Ok(Smo::AddColumn {
-            table: table.to_string(),
-            column: ColumnDef::new(cname.trim(), ty),
-            fill,
-        });
-    }
-    if lower.starts_with("drop column ") {
-        let rest = s["drop column ".len()..].trim();
-        let (column, table) =
-            split_keyword(rest, "from").ok_or_else(|| err("DROP COLUMN needs `FROM`"))?;
-        return Ok(Smo::DropColumn {
-            table: table.to_string(),
-            column: column.to_string(),
-        });
-    }
-    if lower.starts_with("rename column ") {
-        let rest = s["rename column ".len()..].trim();
-        let (from, to_in) =
-            split_keyword(rest, "to").ok_or_else(|| err("RENAME COLUMN needs `TO`"))?;
-        let (to, table) =
-            split_keyword(to_in, "in").ok_or_else(|| err("RENAME COLUMN needs `IN`"))?;
-        return Ok(Smo::RenameColumn {
-            table: table.to_string(),
-            from: from.to_string(),
-            to: to.to_string(),
-        });
-    }
-    Err(err(format!("unrecognized statement {s:?}")))
+        "DROP TABLE" if !rest.is_empty() => Smo::DropTable {
+            name: rest.to_string(),
+        },
+        "RENAME TABLE" => {
+            let (from, to) = owned(expect(rest, "to", &head)?);
+            Smo::RenameTable { from, to }
+        }
+        "COPY TABLE" => {
+            let (from, to) = owned(expect(rest, "to", &head)?);
+            Smo::CopyTable { from, to }
+        }
+        "UNION TABLES" => {
+            let (inputs, output) = expect(rest, "into", &head)?;
+            let (left, right) = owned(two(inputs, &head, "inputs")?);
+            let output = output.to_string();
+            Smo::UnionTables {
+                left,
+                right,
+                output,
+                drop_inputs: false,
+            }
+        }
+        "PARTITION TABLE" => {
+            let (input, where_into) = expect(rest, "where", &head)?;
+            let (predicate, outputs) = expect(where_into, "into", &head)?;
+            let (satisfying, rest) = owned(two(outputs, &head, "outputs")?);
+            Smo::PartitionTable {
+                input: input.to_string(),
+                predicate: predicate.parse::<Predicate>().map_err(err)?,
+                satisfying,
+                rest,
+            }
+        }
+        "DECOMPOSE TABLE" => {
+            let (input, outputs) = expect(rest, "into", &head)?;
+            let (first, second) = two(outputs, &head, "outputs")?;
+            let (unchanged_name, unchanged_cols) = parse_name_cols(first)?;
+            let (changed_name, changed_cols) = parse_name_cols(second)?;
+            Smo::DecomposeTable {
+                input: input.to_string(),
+                spec: DecomposeSpec {
+                    unchanged_name,
+                    unchanged_cols,
+                    changed_name,
+                    changed_cols,
+                    verify_fd: true,
+                },
+            }
+        }
+        "MERGE TABLES" => {
+            let (inputs, output) = expect(rest, "into", &head)?;
+            let (left, right) = owned(two(inputs, &head, "inputs")?);
+            let output = output.to_string();
+            let strategy = MergeStrategy::Auto;
+            Smo::MergeTables {
+                left,
+                right,
+                output,
+                strategy,
+            }
+        }
+        "ADD COLUMN" => {
+            let (def, table) = expect(rest, "to", &head)?;
+            let (def, default) = split_keyword(def, "default").unwrap_or((def, "null"));
+            let (name, ty) = def
+                .split_once(' ')
+                .ok_or_else(|| err("ADD COLUMN needs `name type`"))?;
+            let (name, ty) = (name.trim(), ty.trim().parse().map_err(err)?);
+            let default = bind_literal(name, ty, &parse_literal(default));
+            Smo::AddColumn {
+                table: table.to_string(),
+                column: ColumnDef::new(name, ty),
+                fill: ColumnFill::Default(default.map_err(|e| err(e.to_string()))?),
+            }
+        }
+        "DROP COLUMN" => {
+            let (column, table) = owned(expect(rest, "from", &head)?);
+            Smo::DropColumn { table, column }
+        }
+        "RENAME COLUMN" => {
+            let (from, to_in) = expect(rest, "to", &head)?;
+            let (to, table) = owned(expect(to_in, "in", &head)?);
+            let from = from.to_string();
+            Smo::RenameColumn { table, from, to }
+        }
+        _ => return Err(err(format!("unrecognized statement {s:?}"))),
+    })
 }
 
 /// Parses a script: one statement per line (or `;`-separated); `#` and `--`
@@ -298,13 +237,19 @@ pub fn parse_smo(stmt: &str) -> Result<Smo> {
 /// rejecting statement 40 of a script points at the offending line.
 pub fn parse_script(text: &str) -> Result<Vec<Smo>> {
     let mut smos = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("");
-        let line = line.split("--").next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        for stmt in line.split(';') {
+    for (lineno, line) in text.lines().enumerate() {
+        // Comments and `;` count only outside quoted literals.
+        let end = unquoted(line)
+            .find(|&i| line[i..].starts_with('#') || line[i..].starts_with("--"))
+            .unwrap_or(line.len());
+        let line = &line[..end];
+        let cuts: Vec<usize> = unquoted(line)
+            .filter(|&i| line[i..].starts_with(';'))
+            .collect();
+        let mut start = 0;
+        for cut in cuts.into_iter().chain([line.len()]) {
+            let stmt = &line[start..cut];
+            start = cut + 1;
             if !stmt.trim().is_empty() {
                 smos.push(parse_smo(stmt).map_err(|e| match e {
                     EvolutionError::InvalidOperator(m) => err(format!("line {}: {m}", lineno + 1)),
@@ -319,6 +264,7 @@ pub fn parse_script(text: &str) -> Result<Vec<Smo>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cods_storage::Value;
 
     #[test]
     fn parses_create_with_key() {
@@ -412,49 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn predicate_literal_inference() {
-        let p = parse_predicate("k = 5").unwrap();
-        assert!(matches!(
-            p,
-            Predicate::Compare {
-                literal: Value::Int(5),
-                ..
-            }
-        ));
-        let p = parse_predicate("k = 2.5").unwrap();
-        assert!(matches!(
-            p,
-            Predicate::Compare {
-                literal: Value::Float(_),
-                ..
-            }
-        ));
-        let p = parse_predicate("k = 'hello'").unwrap();
-        assert!(matches!(
-            p,
-            Predicate::Compare {
-                literal: Value::Str(_),
-                ..
-            }
-        ));
-        let p = parse_predicate("NOT k = true").unwrap();
-        assert!(matches!(p, Predicate::Not(_)));
-    }
-
-    #[test]
-    fn null_literal_is_null_and_quotes_force_strings() {
-        let literal = |s: &str| match parse_predicate(s).unwrap() {
-            Predicate::Compare { literal, .. } => literal,
-            p => panic!("not a comparison: {p:?}"),
-        };
-        assert_eq!(literal("k = null"), Value::Null);
-        assert_eq!(literal("k != NULL"), Value::Null);
-        assert_eq!(literal("k = 'null'"), Value::str("null"));
-        assert_eq!(literal("k = '5'"), Value::str("5"));
-        assert_eq!(literal("k = TRUE"), Value::Bool(true));
-    }
-
-    #[test]
     fn script_with_comments_executes() {
         use crate::platform::Cods;
         let script = "\
@@ -477,6 +380,8 @@ DROP TABLE r2
         assert!(parse_smo("DECOMPOSE TABLE R INTO S").is_err());
         assert!(parse_smo("CREATE TABLE t (id banana)").is_err());
         assert!(parse_smo("PARTITION TABLE t WHERE INTO a, b").is_err());
+        assert!(parse_smo("DROP TABLE").is_err());
+        assert!(parse_smo("ADD COLUMN c int DEFAULT 'x' TO t").is_err());
     }
 
     #[test]

@@ -196,9 +196,7 @@ fn shadow_apply(shadow: &mut BTreeMap<String, Schema>, smo: &Smo) -> Result<Effe
             rest,
         } => {
             let s = expect(shadow, input)?.clone();
-            for c in predicate.columns() {
-                s.column(c)?;
-            }
+            predicate.bind(&s)?;
             if satisfying == rest {
                 return Err(exists(rest));
             }

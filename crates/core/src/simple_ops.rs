@@ -83,14 +83,6 @@ pub fn union_tables(
     Ok((table, tracker.finish()))
 }
 
-/// Builds the row-selection mask of a predicate *at data level* (delegates
-/// to [`cods_query::bitmap_scan::predicate_mask`]): comparisons are
-/// evaluated once per distinct dictionary value, and the per-value bitmaps
-/// of satisfying values are combined — never touching individual rows.
-pub fn predicate_mask(table: &Table, pred: &Predicate) -> Result<Wah> {
-    Ok(cods_query::bitmap_scan::predicate_mask(table, pred)?)
-}
-
 /// PARTITION TABLE: splits `input` into rows satisfying `pred` and the rest.
 pub fn partition_table(
     input: &Table,
@@ -99,7 +91,8 @@ pub fn partition_table(
     rest_name: &str,
 ) -> Result<(Table, Table, EvolutionStatus)> {
     let mut tracker = StatusTracker::new();
-    let mask = predicate_mask(input, pred)?;
+    // Evaluated once per distinct dictionary value, never per row.
+    let mask = cods_query::predicate_mask(input, pred)?;
     tracker.step_items("build predicate mask over dictionaries", mask.count_ones());
     let not_mask = mask.not();
 
@@ -275,6 +268,7 @@ pub fn rename_column(table: &Table, from: &str, to: &str) -> Result<(Table, Evol
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cods_query::predicate_mask;
     use cods_storage::ValueType;
 
     fn sample() -> Table {

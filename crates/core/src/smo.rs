@@ -107,16 +107,6 @@ pub enum Smo {
 }
 
 impl Smo {
-    /// Returns `true` for the column-level operators (ADD / DROP / RENAME
-    /// COLUMN) — the ones the planner fuses into a single per-table pass
-    /// when they form an uninterrupted chain.
-    pub fn is_column_op(&self) -> bool {
-        matches!(
-            self,
-            Smo::AddColumn { .. } | Smo::DropColumn { .. } | Smo::RenameColumn { .. }
-        )
-    }
-
     /// For column-level operators, the table they modify in place.
     pub fn column_op_table(&self) -> Option<&str> {
         match self {
@@ -162,10 +152,13 @@ impl fmt::Display for Smo {
             } => write!(f, "UNION TABLES {left}, {right} INTO {output}"),
             Smo::PartitionTable {
                 input,
+                predicate,
                 satisfying,
                 rest,
-                ..
-            } => write!(f, "PARTITION TABLE {input} INTO {satisfying}, {rest}"),
+            } => write!(
+                f,
+                "PARTITION TABLE {input} WHERE {predicate} INTO {satisfying}, {rest}"
+            ),
             Smo::DecomposeTable { input, spec } => write!(
                 f,
                 "DECOMPOSE TABLE {input} INTO {} ({}), {} ({})",

@@ -22,10 +22,7 @@ pub fn same_tuples(a: &Table, b: &Table) -> Result<bool> {
         return Ok(false);
     }
     // Project b's rows into a's column order.
-    let perm: Vec<usize> = names
-        .iter()
-        .map(|n| Ok(b.schema().index_of(n)?))
-        .collect::<Result<_>>()?;
+    let perm = b.schema().indices_of(&names)?;
     let mut counts: HashMap<Vec<Value>, i64> = HashMap::new();
     for row in a.to_rows() {
         *counts.entry(row).or_insert(0) += 1;

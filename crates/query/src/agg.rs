@@ -56,18 +56,28 @@ impl std::str::FromStr for AggOp {
 
     /// Parses an operator name: `count`, `distinct`, `sum`, `min` or `max`.
     fn from_str(name: &str) -> Result<AggOp, String> {
-        Ok(match name {
-            "count" => AggOp::Count,
-            "distinct" => AggOp::CountDistinct,
-            "sum" => AggOp::Sum,
-            "min" => AggOp::Min,
-            "max" => AggOp::Max,
-            other => return Err(format!("unknown aggregate op {other:?}")),
-        })
+        let hit = AggOp::ALL.into_iter().find(|op| op.to_string() == name);
+        hit.ok_or_else(|| format!("unknown aggregate op {name:?}"))
+    }
+}
+
+impl std::fmt::Display for AggOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(["count", "distinct", "sum", "min", "max"][*self as usize])
     }
 }
 
 impl AggOp {
+    /// Every operator in declaration order, which is also its wire tag
+    /// order.
+    pub const ALL: [AggOp; 5] = [
+        AggOp::Count,
+        AggOp::CountDistinct,
+        AggOp::Sum,
+        AggOp::Min,
+        AggOp::Max,
+    ];
+
     /// Result type of the aggregate over a column of type `input`.
     pub fn output_type(self, input: ValueType) -> ValueType {
         match self {
@@ -97,6 +107,13 @@ impl AggExpr {
             column: column.into(),
             alias: alias.into(),
         }
+    }
+
+    /// `op(column)` under the one default output name, e.g. `count(skill)`.
+    pub fn named(op: AggOp, column: impl Into<String>) -> Self {
+        let column = column.into();
+        let alias = format!("{op}({column})");
+        AggExpr { op, column, alias }
     }
 }
 

@@ -76,8 +76,9 @@ impl SatSet<'_> {
 
 /// Builds the selection mask of `pred` over `table` at data level, with
 /// zone-map pruning (see the module docs for the three pruning tiers).
+/// Literals are typed by [`Predicate::bind`] first.
 pub fn predicate_mask(table: &Table, pred: &Predicate) -> Result<Wah, StorageError> {
-    mask_rec(table, pred, true)
+    mask_rec(table, &pred.bind(table.schema())?, true)
 }
 
 /// [`predicate_mask`] with zone pruning disabled: every segment's
@@ -85,7 +86,7 @@ pub fn predicate_mask(table: &Table, pred: &Predicate) -> Result<Wah, StorageErr
 /// Exists for the pruning benchmarks and the differential test harness —
 /// the two functions are bit-identical by construction.
 pub fn predicate_mask_unpruned(table: &Table, pred: &Predicate) -> Result<Wah, StorageError> {
-    mask_rec(table, pred, false)
+    mask_rec(table, &pred.bind(table.schema())?, false)
 }
 
 fn mask_rec(table: &Table, pred: &Predicate, zones: bool) -> Result<Wah, StorageError> {

@@ -16,6 +16,7 @@
 //! faithfully; `cods::decompose` / `cods::merge` are the data-level
 //! alternative that avoids them.
 
+use crate::request::JoinRequest;
 use crate::tuple;
 use cods_rowstore::RowDb;
 use cods_storage::{Catalog, Schema, StorageError, Table, Value};
@@ -50,10 +51,6 @@ impl EvolutionReport {
         }
         out
     }
-}
-
-fn positions(schema: &Schema, names: &[&str]) -> Result<Vec<usize>, StorageError> {
-    names.iter().map(|n| schema.index_of(n)).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -92,22 +89,22 @@ pub fn decompose_row_level(
     db.create_table(left_name, left_schema)?;
     db.create_table(right_name, right_schema)?;
     if with_indexes {
-        let li = positions(db.table(left_name)?.schema(), common_cols)?;
+        let li = db.table(left_name)?.schema().indices_of(common_cols)?;
         db.table_mut(left_name)?.create_index(li)?;
-        let ri = positions(db.table(right_name)?.schema(), common_cols)?;
+        let ri = db.table(right_name)?.schema().indices_of(common_cols)?;
         db.table_mut(right_name)?.create_index(ri)?;
     }
     mark = report.step("create output tables", mark);
 
     // INSERT INTO left SELECT cols FROM input.
-    let lpos = positions(&input_schema, left_cols)?;
+    let lpos = input_schema.indices_of(left_cols)?;
     let left_rows = tuple::project(&rows, &lpos);
     report.tuples_written += left_rows.len() as u64;
     db.insert_many(left_name, left_rows.iter().map(|r| r.as_slice()))?;
     mark = report.step("insert left (verbatim)", mark);
 
     // INSERT INTO right SELECT DISTINCT cols FROM input.
-    let rpos = positions(&input_schema, right_cols)?;
+    let rpos = input_schema.indices_of(right_cols)?;
     let right_rows = tuple::distinct(tuple::project(&rows, &rpos));
     report.tuples_written += right_rows.len() as u64;
     db.insert_many(right_name, right_rows.iter().map(|r| r.as_slice()))?;
@@ -140,29 +137,13 @@ pub fn merge_row_level(
     report.tuples_read = (left_rows.len() + right_rows.len()) as u64;
     mark = report.step("scan inputs", mark);
 
-    let lk = positions(&left_schema, join_cols)?;
-    let rk = positions(&right_schema, join_cols)?;
-    let joined = tuple::hash_join(&left_rows, &right_rows, &lk, &rk);
+    let req = JoinRequest::resolve(&left_schema, &right_schema, join_cols, join_cols)?;
+    let joined = tuple::hash_join(&left_rows, &right_rows, &req.left_keys, &req.right_keys);
     mark = report.step("hash join", mark);
 
-    // Output schema: left columns ++ right non-join columns.
-    let mut out_cols: Vec<&str> = left_schema.names();
-    let right_payload: Vec<&str> = right_schema
-        .names()
-        .into_iter()
-        .filter(|n| !join_cols.contains(n))
-        .collect();
-    out_cols.extend(right_payload);
-    let mut combined = left_schema.columns().to_vec();
-    for (i, c) in right_schema.columns().iter().enumerate() {
-        if !rk.contains(&i) {
-            combined.push(c.clone());
-        }
-    }
-    let out_schema = Schema::new(combined)?;
-    db.create_table(output, out_schema)?;
+    db.create_table(output, Schema::new(req.columns)?)?;
     if with_indexes {
-        let ji = positions(db.table(output)?.schema(), join_cols)?;
+        let ji = db.table(output)?.schema().indices_of(join_cols)?;
         db.table_mut(output)?.create_index(ji)?;
     }
     mark = report.step("create output table", mark);
@@ -203,7 +184,7 @@ pub fn decompose_column_level(
     mark = report.step("decompress input to tuples", mark);
 
     let left_schema = input_table.schema().project(left_cols, &[])?;
-    let lpos = positions(input_table.schema(), left_cols)?;
+    let lpos = input_table.schema().indices_of(left_cols)?;
     let left_rows = tuple::project(&rows, &lpos);
     mark = report.step("project left", mark);
     // Re-compression: dictionaries and bitmaps rebuilt from scratch.
@@ -212,7 +193,7 @@ pub fn decompose_column_level(
     mark = report.step("re-compress left", mark);
 
     let right_schema = input_table.schema().project(right_cols, common_cols)?;
-    let rpos = positions(input_table.schema(), right_cols)?;
+    let rpos = input_table.schema().indices_of(right_cols)?;
     let right_rows = tuple::distinct(tuple::project(&rows, &rpos));
     mark = report.step("project + distinct right", mark);
     let right_table = Table::from_rows(right_name, right_schema, &right_rows)?;
@@ -246,19 +227,11 @@ pub fn merge_column_level(
     report.tuples_read = (left_rows.len() + right_rows.len()) as u64;
     mark = report.step("decompress inputs to tuples", mark);
 
-    let lk = positions(left.schema(), join_cols)?;
-    let rk = positions(right.schema(), join_cols)?;
-    let joined = tuple::hash_join(&left_rows, &right_rows, &lk, &rk);
+    let req = JoinRequest::resolve(left.schema(), right.schema(), join_cols, join_cols)?;
+    let joined = tuple::hash_join(&left_rows, &right_rows, &req.left_keys, &req.right_keys);
     mark = report.step("hash join", mark);
 
-    let mut combined = left.schema().columns().to_vec();
-    for (i, c) in right.schema().columns().iter().enumerate() {
-        if !rk.contains(&i) {
-            combined.push(c.clone());
-        }
-    }
-    let out_schema = Schema::new(combined)?;
-    let out_table = Table::from_rows(output, out_schema, &joined)?;
+    let out_table = Table::from_rows(output, Schema::new(req.columns)?, &joined)?;
     report.tuples_written = joined.len() as u64;
     mark = report.step("re-compress result", mark);
 

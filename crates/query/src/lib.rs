@@ -7,7 +7,10 @@
 //! bitmaps (column store) from scratch.
 //!
 //! * [`tuple`](mod@tuple) — project / distinct / hash join / union over materialized rows;
-//! * [`pred`] — the predicate language shared with PARTITION TABLE;
+//! * [`pred`] — the predicate language shared with PARTITION TABLE, its
+//!   one text grammar and its one literal-typing rule;
+//! * [`request`] — the one resolver per request shape (grouped
+//!   aggregation, join) from column names to positions and output columns;
 //! * [`plan`] — a small logical-plan layer over both storage engines;
 //! * [`agg`] — grouped aggregation: a row kernel plus a vectorized,
 //!   dictionary-native columnar kernel (`aggregate_table_masked`);
@@ -33,6 +36,7 @@ pub mod join;
 pub mod par;
 pub mod plan;
 pub mod pred;
+pub mod request;
 pub mod stream;
 pub mod tuple;
 
@@ -48,4 +52,5 @@ pub use evolution::{
 pub use join::{join_collect, join_stream, plan_join, BuildSide, JoinPlan, JoinStream};
 pub use plan::{execute, explain, ExecContext, Plan, ResultSet};
 pub use pred::{CmpOp, CompiledPredicate, Predicate};
+pub use request::{AggRequest, JoinRequest};
 pub use stream::{RowBatch, ScanStream};

@@ -4,9 +4,10 @@
 //! Section 1 of the paper.
 
 use crate::pred::Predicate;
+use crate::request::{AggRequest, JoinRequest};
 use crate::tuple;
 use cods_rowstore::RowDb;
-use cods_storage::{Catalog, ColumnDef, Schema, StorageError, Table, Value};
+use cods_storage::{Catalog, Schema, StorageError, Table, Value};
 use std::sync::Arc;
 
 /// A logical query plan node.
@@ -120,41 +121,6 @@ pub struct ResultSet {
     pub rows: Vec<Vec<Value>>,
 }
 
-/// Resolves an aggregate's grouping columns and expressions against a
-/// schema: `(op, input position, input type)` triples, the output column
-/// defs, and the grouping positions — shared by the row path and the
-/// columnar pushdown so both produce identical schemas.
-#[allow(clippy::type_complexity)]
-fn compile_aggs(
-    schema: &Schema,
-    group_by: &[String],
-    aggs: &[crate::agg::AggExpr],
-) -> Result<
-    (
-        Vec<(crate::agg::AggOp, usize, cods_storage::ValueType)>,
-        Vec<ColumnDef>,
-        Vec<usize>,
-    ),
-    StorageError,
-> {
-    let group_idx: Vec<usize> = group_by
-        .iter()
-        .map(|n| schema.index_of(n))
-        .collect::<Result<_, _>>()?;
-    let mut compiled = Vec::with_capacity(aggs.len());
-    let mut out_cols: Vec<ColumnDef> = group_idx
-        .iter()
-        .map(|&g| schema.columns()[g].clone())
-        .collect();
-    for a in aggs {
-        let col = schema.index_of(&a.column)?;
-        let in_ty = schema.columns()[col].ty;
-        compiled.push((a.op, col, in_ty));
-        out_cols.push(ColumnDef::new(&a.alias, a.op.output_type(in_ty)));
-    }
-    Ok((compiled, out_cols, group_idx))
-}
-
 /// Executes a plan to a materialized [`ResultSet`].
 pub fn execute(plan: &Plan, ctx: ExecContext<'_>) -> Result<ResultSet, StorageError> {
     match plan {
@@ -196,10 +162,7 @@ pub fn execute(plan: &Plan, ctx: ExecContext<'_>) -> Result<ResultSet, StorageEr
                 }
             }
             let input = execute(input, ctx)?;
-            let positions: Vec<usize> = names
-                .iter()
-                .map(|n| input.schema.index_of(n))
-                .collect::<Result<_, _>>()?;
+            let positions = input.schema.indices_of(&names)?;
             Ok(ResultSet {
                 schema: input.schema.project(&names, &[])?,
                 rows: tuple::project(&input.rows, &positions),
@@ -254,48 +217,21 @@ pub fn execute(plan: &Plan, ctx: ExecContext<'_>) -> Result<ResultSet, StorageEr
                 if let Some(cat) = ctx.catalog {
                     let l = cat.get(lt)?;
                     let r = cat.get(rt)?;
-                    let lk: Vec<usize> = left_keys
-                        .iter()
-                        .map(|n| l.schema().index_of(n))
-                        .collect::<Result<_, _>>()?;
-                    let rk: Vec<usize> = right_keys
-                        .iter()
-                        .map(|n| r.schema().index_of(n))
-                        .collect::<Result<_, _>>()?;
-                    let (_plan, rows) = crate::join::join_collect(&l, &r, &lk, &rk);
-                    let mut cols: Vec<ColumnDef> = l.schema().columns().to_vec();
-                    for (i, c) in r.schema().columns().iter().enumerate() {
-                        if !rk.contains(&i) {
-                            cols.push(c.clone());
-                        }
-                    }
+                    let req = JoinRequest::resolve(l.schema(), r.schema(), left_keys, right_keys)?;
+                    let (_plan, rows) =
+                        crate::join::join_collect(&l, &r, &req.left_keys, &req.right_keys);
                     return Ok(ResultSet {
-                        schema: Schema::new(cols)?,
+                        schema: Schema::new(req.columns)?,
                         rows,
                     });
                 }
             }
             let l = execute(left, ctx)?;
             let r = execute(right, ctx)?;
-            let lk: Vec<usize> = left_keys
-                .iter()
-                .map(|n| l.schema.index_of(n))
-                .collect::<Result<_, _>>()?;
-            let rk: Vec<usize> = right_keys
-                .iter()
-                .map(|n| r.schema.index_of(n))
-                .collect::<Result<_, _>>()?;
-            let rows = tuple::hash_join(&l.rows, &r.rows, &lk, &rk);
-            // Output schema: left columns ++ right non-key columns.
-            let mut cols: Vec<ColumnDef> = l.schema.columns().to_vec();
-            for (i, c) in r.schema.columns().iter().enumerate() {
-                if !rk.contains(&i) {
-                    cols.push(c.clone());
-                }
-            }
+            let req = JoinRequest::resolve(&l.schema, &r.schema, left_keys, right_keys)?;
             Ok(ResultSet {
-                schema: Schema::new(cols)?,
-                rows,
+                rows: tuple::hash_join(&l.rows, &r.rows, &req.left_keys, &req.right_keys),
+                schema: Schema::new(req.columns)?,
             })
         }
         Plan::Aggregate {
@@ -303,46 +239,41 @@ pub fn execute(plan: &Plan, ctx: ExecContext<'_>) -> Result<ResultSet, StorageEr
             group_by,
             aggs,
         } => {
-            // Columnar pushdown: an aggregate directly over a column-store
-            // scan runs on dictionary ids (with the per-column validity
-            // fast path) instead of materializing every tuple first.
-            if let Plan::ScanColumn { table } = input.as_ref() {
-                if let Some(cat) = ctx.catalog {
-                    let t = cat.get(table)?;
-                    let (compiled, out_cols, group_idx) = compile_aggs(t.schema(), group_by, aggs)?;
-                    let rows = crate::agg::aggregate_table(&t, &group_idx, &compiled)?;
-                    return Ok(ResultSet {
-                        schema: Schema::new(out_cols)?,
-                        rows,
-                    });
-                }
-            }
-            // Mask pushdown: an aggregate over a filtered column-store scan
-            // never materializes the filtered table — the predicate compiles
-            // to a WAH mask and the columnar kernel aggregates under it.
-            if let Plan::Filter {
-                input: scan,
-                predicate,
-            } = input.as_ref()
-            {
-                if let (Plan::ScanColumn { table }, Some(cat)) = (scan.as_ref(), ctx.catalog) {
-                    let t = cat.get(table)?;
-                    let mask = crate::bitmap_scan::predicate_mask(&t, predicate)?;
-                    let (compiled, out_cols, group_idx) = compile_aggs(t.schema(), group_by, aggs)?;
-                    let rows =
-                        crate::agg::aggregate_table_masked(&t, &group_idx, &compiled, Some(&mask))?;
-                    return Ok(ResultSet {
-                        schema: Schema::new(out_cols)?,
-                        rows,
-                    });
-                }
+            // Columnar pushdown: an aggregate over a column-store scan runs
+            // on dictionary ids (with the per-column validity fast path)
+            // instead of materializing every tuple first; over a filtered
+            // scan the predicate becomes a WAH mask the kernel aggregates
+            // under, so the filtered table is never built either.
+            let pushed = match input.as_ref() {
+                Plan::ScanColumn { table } => Some((table, None)),
+                Plan::Filter { input, predicate } => match input.as_ref() {
+                    Plan::ScanColumn { table } => Some((table, Some(predicate))),
+                    _ => None,
+                },
+                _ => None,
+            };
+            if let (Some((table, predicate)), Some(cat)) = (pushed, ctx.catalog) {
+                let t = cat.get(table)?;
+                let req = AggRequest::resolve(t.schema(), group_by, aggs)?;
+                let mask = predicate
+                    .map(|p| crate::bitmap_scan::predicate_mask(&t, p))
+                    .transpose()?;
+                let rows = crate::agg::aggregate_table_masked(
+                    &t,
+                    &req.group_by,
+                    &req.aggs,
+                    mask.as_ref(),
+                )?;
+                return Ok(ResultSet {
+                    schema: Schema::new(req.columns)?,
+                    rows,
+                });
             }
             let input = execute(input, ctx)?;
-            let (compiled, out_cols, group_idx) = compile_aggs(&input.schema, group_by, aggs)?;
-            let rows = crate::agg::aggregate(&input.rows, &group_idx, &compiled)?;
+            let req = AggRequest::resolve(&input.schema, group_by, aggs)?;
             Ok(ResultSet {
-                schema: Schema::new(out_cols)?,
-                rows,
+                rows: crate::agg::aggregate(&input.rows, &req.group_by, &req.aggs)?,
+                schema: Schema::new(req.columns)?,
             })
         }
         Plan::UnionAll { left, right } => {
@@ -371,10 +302,13 @@ fn scan_base(plan: &Plan, ctx: ExecContext<'_>) -> Result<Option<(Arc<Table>, f6
             Some(cat) => Ok(Some((cat.get(table)?, 1.0))),
             None => Ok(None),
         },
-        Plan::Filter { input, predicate } => Ok(scan_base(input, ctx)?.map(|(t, s)| {
-            let sel = crate::cost::predicate_selectivity(&t, predicate);
-            (t, s * sel)
-        })),
+        Plan::Filter { input, predicate } => Ok(match scan_base(input, ctx)? {
+            Some((t, s)) => {
+                let sel = crate::cost::predicate_selectivity(&t, &predicate.bind(t.schema())?);
+                Some((t, s * sel))
+            }
+            None => None,
+        }),
         Plan::Project { input, .. } => scan_base(input, ctx),
         _ => Ok(None),
     }
@@ -432,13 +366,15 @@ fn explain_node(
             let mut child = String::new();
             let in_est = explain_node(input, ctx, depth + 1, &mut child)?;
             let sel = match scan_base(input, ctx)? {
-                Some((t, _)) => crate::cost::predicate_selectivity(&t, predicate),
+                Some((t, _)) => {
+                    crate::cost::predicate_selectivity(&t, &predicate.bind(t.schema())?)
+                }
                 None => 1.0,
             };
             let est = in_est * sel;
             line(
                 out,
-                format!("Filter {predicate:?} (selectivity {sel:.3})"),
+                format!("Filter {predicate} (selectivity {sel:.3})"),
                 est,
             );
             out.push_str(&child);
@@ -472,16 +408,9 @@ fn explain_node(
             );
             if let (Some((lt, _)), Some((rt, _))) = (scan_base(left, ctx)?, scan_base(right, ctx)?)
             {
-                let lk: Vec<usize> = left_keys
-                    .iter()
-                    .map(|n| lt.schema().index_of(n))
-                    .collect::<Result<_, _>>()?;
-                let rk: Vec<usize> = right_keys
-                    .iter()
-                    .map(|n| rt.schema().index_of(n))
-                    .collect::<Result<_, _>>()?;
+                let req = JoinRequest::resolve(lt.schema(), rt.schema(), left_keys, right_keys)?;
                 let budget = cods_storage::segment_cache().stats().budget;
-                let jp = crate::join::plan_join(&lt, &rt, &lk, &rk, budget);
+                let jp = crate::join::plan_join(&lt, &rt, &req.left_keys, &req.right_keys, budget);
                 indent_block(out, &jp.ranking.describe());
                 indent_block(
                     out,
@@ -521,18 +450,16 @@ fn explain_node(
                 est,
             );
             if let Some((t, sel)) = scan_base(input, ctx)? {
-                let group_idx: Vec<usize> = group_by
-                    .iter()
-                    .map(|n| t.schema().index_of(n))
-                    .collect::<Result<_, _>>()?;
-                let distinct: f64 = group_idx
+                let req = AggRequest::resolve(t.schema(), group_by, aggs)?;
+                let distinct: f64 = req
+                    .group_by
                     .iter()
                     .map(|&g| t.column(g).dict().len() as f64)
                     .product();
                 est = est.min(distinct.max(1.0));
                 indent_block(
                     out,
-                    &crate::cost::groupby_ranking(&t, &group_idx, sel).describe(),
+                    &crate::cost::groupby_ranking(&t, &req.group_by, sel).describe(),
                 );
             }
             out.push_str(&child);

@@ -1,14 +1,31 @@
-//! Row predicates — the condition language of PARTITION TABLE and the
-//! filter operator.
+//! Row predicates — the condition language of PARTITION TABLE, the filter
+//! operator and every REPL `where` clause — with its one text form.
+//!
+//! ```text
+//! pred    := and { OR and }          -- AND binds tighter; both left-assoc
+//! and     := unary { AND unary }
+//! unary   := NOT unary | ( pred ) | TRUE | column op literal
+//! op      := = | == | != | <> | < | <= | > | >=
+//! literal := 'text' | word           -- see parse_literal; '' escapes a quote
+//! ```
+//!
+//! Keywords are case-insensitive and spaces around operators are optional.
+//! [`Predicate`]'s `Display` renders this grammar, so
+//! `p.to_string().parse() == Ok(p)`. Text is untyped; [`Predicate::bind`]
+//! types the literals against a schema.
 
-use cods_storage::{Dictionary, Schema, StorageError, Value};
+use cods_storage::{Dictionary, Schema, StorageError, Value, ValueType};
+use std::fmt;
 
 /// Reads an untyped literal — the one rule shared by the SMO script
-/// language and the remote REPL. `null`, `true` and `false` (any case) are
+/// language and both REPLs. `null`, `true` and `false` (any case) are
 /// NULL and booleans; bare numbers become `Int`, else `Float`; anything
-/// else is a string. Single quotes force a string and are stripped, so
-/// `'42'` and `'null'` are strings.
+/// else is a string. Single quotes force a string and are stripped (`''`
+/// inside them is one quote), so `'42'` and `'null'` are strings.
 pub fn parse_literal(s: &str) -> Value {
+    if let Some(inner) = s.strip_prefix('\'').and_then(|r| r.strip_suffix('\'')) {
+        return Value::str(inner.replace("''", "'"));
+    }
     for (word, v) in [
         ("null", Value::Null),
         ("true", Value::Bool(true)),
@@ -24,7 +41,27 @@ pub fn parse_literal(s: &str) -> Value {
     if let Ok(f) = s.parse::<f64>() {
         return Value::float(f);
     }
-    Value::str(s.trim_matches('\''))
+    Value::str(s)
+}
+
+/// Types `literal` for a column of type `ty` — the one literal-typing
+/// rule. NULL and literals of the column's own type are kept; an `Int`
+/// literal on a `Float` column becomes a `Float`; anything else is a
+/// [`StorageError::RowMismatch`] naming the column.
+pub fn bind_literal(column: &str, ty: ValueType, literal: &Value) -> Result<Value, StorageError> {
+    match (literal, literal.value_type()) {
+        (Value::Int(i), _) if ty == ValueType::Float => Ok(Value::float(*i as f64)),
+        (_, None) => Ok(Value::Null),
+        (v, Some(t)) if t == ty => Ok(v.clone()),
+        (v, Some(t)) => Err(StorageError::RowMismatch(format!(
+            "column {column:?} is {ty} but literal {v} is {t}{}",
+            if ty == ValueType::Str {
+                "; quote it ('...') to make it text"
+            } else {
+                ""
+            }
+        ))),
+    }
 }
 
 /// Comparison operators.
@@ -45,6 +82,17 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// Every operator in declaration order, which is also its wire tag
+    /// order.
+    pub const ALL: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
     fn eval(self, ord: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::*;
         match self {
@@ -166,40 +214,45 @@ impl Predicate {
         Predicate::Not(Box::new(self))
     }
 
-    /// Every column name the predicate references, in syntax order (with
-    /// duplicates). Lets planners validate a predicate against a schema
-    /// without compiling it.
-    pub fn columns(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_columns(&mut out);
-        out
-    }
-
-    fn collect_columns<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            Predicate::Compare { column, .. } => out.push(column.as_str()),
-            Predicate::And(a, b) | Predicate::Or(a, b) => {
-                a.collect_columns(out);
-                b.collect_columns(out);
-            }
-            Predicate::Not(p) => p.collect_columns(out),
-            Predicate::True => {}
-        }
+    /// Checks every column against `schema` and types every literal by
+    /// [`bind_literal`]. Mask building binds first and [`compile`] applies
+    /// the same rule, so a literal never compares across types.
+    ///
+    /// [`compile`]: Predicate::compile
+    pub fn bind(&self, schema: &Schema) -> Result<Predicate, StorageError> {
+        Ok(match self {
+            Predicate::Compare {
+                column,
+                op,
+                literal,
+            } => Predicate::Compare {
+                column: column.clone(),
+                op: *op,
+                literal: bind_literal(column, schema.column(column)?.ty, literal)?,
+            },
+            Predicate::And(a, b) => a.bind(schema)?.and(b.bind(schema)?),
+            Predicate::Or(a, b) => a.bind(schema)?.or(b.bind(schema)?),
+            Predicate::Not(p) => p.bind(schema)?.not(),
+            Predicate::True => Predicate::True,
+        })
     }
 
     /// Compiles the predicate against a schema, resolving column names to
-    /// positions.
+    /// positions and typing literals by [`bind_literal`].
     pub fn compile(&self, schema: &Schema) -> Result<CompiledPredicate, StorageError> {
         Ok(match self {
             Predicate::Compare {
                 column,
                 op,
                 literal,
-            } => CompiledPredicate::Compare {
-                column: schema.index_of(column)?,
-                op: *op,
-                literal: literal.clone(),
-            },
+            } => {
+                let idx = schema.index_of(column)?;
+                CompiledPredicate::Compare {
+                    column: idx,
+                    op: *op,
+                    literal: bind_literal(column, schema.columns()[idx].ty, literal)?,
+                }
+            }
             Predicate::And(a, b) => {
                 CompiledPredicate::And(Box::new(a.compile(schema)?), Box::new(b.compile(schema)?))
             }
@@ -210,6 +263,178 @@ impl Predicate {
             Predicate::True => CompiledPredicate::True,
         })
     }
+}
+
+/// Operator spellings; the first spelling of each operator is the one
+/// `Display` writes.
+const OPS: [(&str, CmpOp); 8] = [
+    ("=", CmpOp::Eq),
+    ("!=", CmpOp::Ne),
+    ("<", CmpOp::Lt),
+    ("<=", CmpOp::Le),
+    (">", CmpOp::Gt),
+    (">=", CmpOp::Ge),
+    ("==", CmpOp::Eq),
+    ("<>", CmpOp::Ne),
+];
+
+impl fmt::Display for CmpOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (text, _) = OPS.iter().find(|(_, op)| op == self).expect("every op");
+        f.write_str(text)
+    }
+}
+
+impl fmt::Display for Predicate {
+    /// Renders the grammar the module docs give, parenthesizing only where
+    /// the tree differs from the left-associative parse.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Binding strength: OR < AND < everything else.
+        let child = |f: &mut fmt::Formatter<'_>, p: &Predicate, min: u8| {
+            let prec = match p {
+                Predicate::Or(..) => 1,
+                Predicate::And(..) => 2,
+                _ => 3,
+            };
+            if prec < min {
+                write!(f, "({p})")
+            } else {
+                write!(f, "{p}")
+            }
+        };
+        let (a, b, word, prec) = match self {
+            Predicate::Compare {
+                column,
+                op,
+                literal,
+            } => {
+                return match literal {
+                    Value::Str(s) => write!(f, "{column} {op} '{}'", s.replace('\'', "''")),
+                    // Debug keeps the point, so `4.0` reads back as a Float.
+                    Value::Float(x) => write!(f, "{column} {op} {:?}", x.0),
+                    v => write!(f, "{column} {op} {v}"),
+                };
+            }
+            Predicate::Not(p) => {
+                f.write_str("NOT ")?;
+                return child(f, p, 3);
+            }
+            Predicate::True => return f.write_str("TRUE"),
+            Predicate::And(a, b) => (a, b, "AND", 2),
+            Predicate::Or(a, b) => (a, b, "OR", 1),
+        };
+        child(f, a, prec)?;
+        write!(f, " {word} ")?;
+        child(f, b, prec + 1)
+    }
+}
+
+impl std::str::FromStr for Predicate {
+    type Err = String;
+
+    /// Parses the grammar the module docs give.
+    fn from_str(text: &str) -> Result<Predicate, String> {
+        let toks = lex(text)?;
+        let mut rest = toks.as_slice();
+        let pred = parse(&mut rest, 1)?;
+        match rest.first() {
+            None => Ok(pred),
+            Some(t) => Err(format!("unexpected `{t}` in predicate {text:?}")),
+        }
+    }
+}
+
+/// Characters that end a word: parentheses, quotes, operator characters.
+const SPECIAL: [char; 7] = ['(', ')', '\'', '=', '!', '<', '>'];
+
+/// Splits predicate text into tokens: parentheses, operators, quoted
+/// literals (quotes kept) and words.
+fn lex(text: &str) -> Result<Vec<&str>, String> {
+    let mut toks = Vec::new();
+    let mut rest = text.trim_start();
+    while let Some(c) = rest.chars().next() {
+        let len = match c {
+            '(' | ')' => 1,
+            '\'' => {
+                // Up to the first quote that is not doubled.
+                let mut end = 1;
+                loop {
+                    match rest[end..].find('\'') {
+                        None => return Err(format!("unterminated quote in {text:?}")),
+                        Some(i) if rest[end + i + 1..].starts_with('\'') => end += i + 2,
+                        Some(i) => break end + i + 1,
+                    }
+                }
+            }
+            '=' | '!' | '<' | '>' => {
+                let two = OPS
+                    .iter()
+                    .any(|(op, _)| op.len() == 2 && rest.starts_with(op));
+                1 + usize::from(two)
+            }
+            _ => rest
+                .find(|ch: char| ch.is_whitespace() || SPECIAL.contains(&ch))
+                .unwrap_or(rest.len()),
+        };
+        toks.push(&rest[..len]);
+        rest = rest[len..].trim_start();
+    }
+    Ok(toks)
+}
+
+/// Consumes the next token if it is keyword `kw`.
+fn eat(toks: &mut &[&str], kw: &str) -> bool {
+    let hit = toks.first().is_some_and(|t| t.eq_ignore_ascii_case(kw));
+    if hit {
+        *toks = &toks[1..];
+    }
+    hit
+}
+
+/// Recursive descent: an OR chain at `level` 1, an AND chain at 2, a
+/// unary term at 3.
+fn parse(toks: &mut &[&str], level: u8) -> Result<Predicate, String> {
+    if level < 3 {
+        let mut p = parse(toks, level + 1)?;
+        while eat(toks, if level == 1 { "or" } else { "and" }) {
+            let rhs = parse(toks, level + 1)?;
+            p = if level == 1 { p.or(rhs) } else { p.and(rhs) };
+        }
+        return Ok(p);
+    }
+    if eat(toks, "not") {
+        return Ok(parse(toks, 3)?.not());
+    }
+    if eat(toks, "(") {
+        let p = parse(toks, 1)?;
+        return match eat(toks, ")") {
+            true => Ok(p),
+            false => Err("missing `)` in predicate".into()),
+        };
+    }
+    let op = toks.get(1).and_then(|o| OPS.iter().find(|(s, _)| s == o));
+    let (pred, used) = match (*toks, op) {
+        ([column, _, lit, ..], Some(&(_, op)))
+            if !column.starts_with(SPECIAL)
+                && (lit.starts_with('\'') || !lit.starts_with(SPECIAL)) =>
+        {
+            let literal = parse_literal(lit);
+            let column = column.to_string();
+            (
+                Predicate::Compare {
+                    column,
+                    op,
+                    literal,
+                },
+                3,
+            )
+        }
+        ([t, ..], _) if t.eq_ignore_ascii_case("true") => (Predicate::True, 1),
+        ([t, ..], _) => return Err(format!("expected `<column> <op> <literal>` at `{t}`")),
+        ([], _) => return Err("predicate ends early".into()),
+    };
+    *toks = &toks[used..];
+    Ok(pred)
 }
 
 /// A predicate with column names resolved to row positions.
@@ -259,8 +484,8 @@ impl CompiledPredicate {
     }
 
     /// Evaluates against a single value, as if the row were `[value]`.
-    /// Used by the data-level PARTITION operator, which evaluates the
-    /// predicate once per *distinct dictionary value* rather than per row.
+    /// Mask building evaluates a `Ne` comparison this way once per
+    /// *distinct dictionary value* rather than per row.
     pub fn eval_value(&self, value: &Value) -> bool {
         self.eval(std::slice::from_ref(value))
     }
@@ -283,6 +508,101 @@ mod tests {
         assert_eq!(parse_literal("4.5"), Value::float(4.5));
         assert_eq!(parse_literal("'Jones'"), Value::str("Jones"));
         assert_eq!(parse_literal("Jones"), Value::str("Jones"));
+        assert_eq!(parse_literal("'it''s'"), Value::str("it's"));
+    }
+
+    fn parse(text: &str) -> Predicate {
+        text.parse()
+            .unwrap_or_else(|e| panic!("{text:?} failed: {e}"))
+    }
+
+    #[test]
+    fn grammar_spacing_aliases_and_precedence() {
+        let k3 = |op| Predicate::Compare {
+            column: "k".into(),
+            op,
+            literal: Value::int(3),
+        };
+        for (text, op) in [
+            ("k=3", CmpOp::Eq),
+            ("k == 3", CmpOp::Eq),
+            ("k!=3", CmpOp::Ne),
+            ("k <> 3", CmpOp::Ne),
+            ("k<3", CmpOp::Lt),
+            ("k <=3", CmpOp::Le),
+            ("k> 3", CmpOp::Gt),
+            ("k >= 3", CmpOp::Ge),
+        ] {
+            assert_eq!(parse(text), k3(op), "{text}");
+        }
+        let (a, b, c) = (parse("a=1"), parse("b=2"), parse("c=3"));
+        assert_eq!(
+            parse("a=1 and b=2 OR c=3"),
+            a.clone().and(b.clone()).or(c.clone())
+        );
+        assert_eq!(
+            parse("a=1 AND (b=2 or c=3)"),
+            a.clone().and(b.clone().or(c.clone()))
+        );
+        assert_eq!(parse("NOT a=1 AND b=2"), a.clone().not().and(b.clone()));
+        assert_eq!(parse("not (a=1 or b=2)"), a.or(b).not());
+        assert_eq!(parse("TRUE"), Predicate::True);
+        assert_eq!(parse("k<-3"), Predicate::lt("k", -3i64));
+    }
+
+    #[test]
+    fn quoted_literals_hide_keywords_and_operators() {
+        assert_eq!(
+            parse("name = 'salt and pepper' OR name='a<=b (c)'"),
+            Predicate::eq("name", "salt and pepper").or(Predicate::eq("name", "a<=b (c)"))
+        );
+        assert_eq!(parse("n = 'it''s'"), Predicate::eq("n", "it's"));
+        for bad in [
+            "",
+            "k",
+            "k =",
+            "k = 'open",
+            "(k = 1",
+            "k = 1 k = 2",
+            "k ! 1",
+            "= 1",
+        ] {
+            assert!(bad.parse::<Predicate>().is_err(), "{bad:?} parsed");
+        }
+    }
+
+    #[test]
+    fn bind_types_literals_by_column() {
+        let s = Schema::build(
+            &[
+                ("i", ValueType::Int),
+                ("f", ValueType::Float),
+                ("s", ValueType::Str),
+            ],
+            &[],
+        )
+        .unwrap();
+        assert_eq!(
+            parse("f < 3").bind(&s).unwrap(),
+            Predicate::lt("f", Value::float(3.0))
+        );
+        assert_eq!(parse("s = null").bind(&s).unwrap(), parse("s = null"));
+        assert_eq!(parse("s = '02139'").bind(&s).unwrap(), parse("s = '02139'"));
+        let err = parse("s = 02139").bind(&s).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::RowMismatch(m) if m.contains("\"s\"") && m.contains("quote")),
+            "{err}"
+        );
+        assert!(parse("i = 2.5").bind(&s).is_err());
+        assert!(parse("i = true").bind(&s).is_err());
+        assert!(matches!(
+            parse("zz = 1").bind(&s),
+            Err(StorageError::UnknownColumn(_))
+        ));
+        // compile applies the same rule.
+        let c = parse("f < 3").compile(&s).unwrap();
+        assert!(c.eval(&[Value::Null, Value::float(2.5), Value::Null]));
+        assert!(parse("s = 1").compile(&s).is_err());
     }
 
     fn schema() -> Schema {

@@ -74,10 +74,7 @@ impl ScanStream {
     ) -> Result<Self, StorageError> {
         let projection: Vec<usize> = match projection {
             None => (0..table.arity()).collect(),
-            Some(names) => names
-                .iter()
-                .map(|n| table.schema().index_of(n))
-                .collect::<Result<_, _>>()?,
+            Some(names) => table.schema().indices_of(names)?,
         };
         let mask = crate::predicate_mask(&table, pred)?;
         let selected = mask.count_ones();

@@ -382,14 +382,7 @@ impl Enc {
             } => {
                 self.u8(0);
                 self.str(column);
-                self.u8(match op {
-                    CmpOp::Eq => 0,
-                    CmpOp::Ne => 1,
-                    CmpOp::Lt => 2,
-                    CmpOp::Le => 3,
-                    CmpOp::Gt => 4,
-                    CmpOp::Ge => 5,
-                });
+                self.u8(*op as u8);
                 self.value(literal);
             }
             Predicate::And(a, b) => {
@@ -482,14 +475,11 @@ impl<'a> Dec<'a> {
         Ok(match self.u8()? {
             0 => Predicate::Compare {
                 column: self.str()?,
-                op: match self.u8()? {
-                    0 => CmpOp::Eq,
-                    1 => CmpOp::Ne,
-                    2 => CmpOp::Lt,
-                    3 => CmpOp::Le,
-                    4 => CmpOp::Gt,
-                    5 => CmpOp::Ge,
-                    b => return Err(WireError::BadTag("cmp op", b)),
+                op: {
+                    let b = self.u8()?;
+                    *CmpOp::ALL
+                        .get(b as usize)
+                        .ok_or(WireError::BadTag("cmp op", b))?
                 },
                 literal: self.value()?,
             },
@@ -526,27 +516,6 @@ impl<'a> Dec<'a> {
             Err(WireError::Trailing)
         }
     }
-}
-
-fn agg_op_tag(op: AggOp) -> u8 {
-    match op {
-        AggOp::Count => 0,
-        AggOp::CountDistinct => 1,
-        AggOp::Sum => 2,
-        AggOp::Min => 3,
-        AggOp::Max => 4,
-    }
-}
-
-fn agg_op_from(b: u8) -> DecResult<AggOp> {
-    Ok(match b {
-        0 => AggOp::Count,
-        1 => AggOp::CountDistinct,
-        2 => AggOp::Sum,
-        3 => AggOp::Min,
-        4 => AggOp::Max,
-        b => return Err(WireError::BadTag("agg op", b)),
-    })
 }
 
 /// Encodes a command body (the frame kind comes from [`Command::kind`]).
@@ -592,7 +561,7 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
             }
             e.u32(aggs.len() as u32);
             for (op, col) in aggs {
-                e.u8(agg_op_tag(*op));
+                e.u8(*op as u8);
                 e.str(col);
             }
         }
@@ -662,7 +631,10 @@ pub fn decode_command(kind: u8, payload: &[u8]) -> DecResult<Command> {
             let n = d.u32()? as usize;
             let mut aggs = Vec::with_capacity(n.min(1 << 12));
             for _ in 0..n {
-                let op = agg_op_from(d.u8()?)?;
+                let b = d.u8()?;
+                let op = *AggOp::ALL
+                    .get(b as usize)
+                    .ok_or(WireError::BadTag("agg op", b))?;
                 aggs.push((op, d.str()?));
             }
             Command::GroupBy {
@@ -874,6 +846,24 @@ mod tests {
         let bytes = encode_reply(&reply);
         let back = decode_reply(reply.kind(), &bytes).unwrap();
         assert_eq!(back, reply);
+    }
+
+    #[test]
+    fn operator_wire_tags_are_pinned() {
+        use CmpOp::*;
+        for (op, tag) in [(Eq, 0u8), (Ne, 1), (Lt, 2), (Le, 3), (Gt, 4), (Ge, 5)] {
+            assert_eq!((op as u8, CmpOp::ALL[tag as usize]), (tag, op));
+        }
+        let aggs = [
+            (AggOp::Count, 0u8),
+            (AggOp::CountDistinct, 1),
+            (AggOp::Sum, 2),
+            (AggOp::Min, 3),
+            (AggOp::Max, 4),
+        ];
+        for (op, tag) in aggs {
+            assert_eq!((op as u8, AggOp::ALL[tag as usize]), (tag, op));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The server: TCP accept loop, thread-per-connection request dispatch,
 //! snapshot sessions, admission control and streaming execution.
 
-use crate::admission::{Gate, Rejected};
+use crate::admission::{Gate, Permit, Rejected};
 use crate::frame::{read_frame, write_frame, write_preamble, FrameError, DEFAULT_MAX_FRAME_BYTES};
 use crate::metrics::ServerMetrics;
 use crate::proto::{
@@ -10,10 +10,11 @@ use crate::proto::{
 use crate::session::Session;
 use cods::{Cods, EvolutionError};
 use cods_query::{
-    aggregate_table_masked, join_stream, plan_join, predicate_mask, AggOp, Predicate, ScanStream,
+    aggregate_table_masked, join_stream, plan_join, predicate_mask, AggExpr, AggRequest,
+    JoinRequest, Predicate, ScanStream,
 };
 use cods_storage::{
-    segment_cache, CommitLog, RetryPolicy, StorageError, Table, TableStats, ValueType,
+    segment_cache, ColumnDef, CommitLog, RetryPolicy, StorageError, TableStats, Value, ValueType,
 };
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -184,6 +185,8 @@ struct Connection<'a> {
     shared: &'a Shared,
     session: Session,
     writer: BufWriter<TcpStream>,
+    /// The execution slot of the data-plane request being served.
+    permit: Option<Permit>,
 }
 
 impl<'a> Connection<'a> {
@@ -193,6 +196,7 @@ impl<'a> Connection<'a> {
             shared,
             session: Session::open(&shared.cods),
             writer: BufWriter::new(stream),
+            permit: None,
         };
         write_preamble(&mut conn.writer)?;
         let hello = Reply::Hello {
@@ -248,6 +252,11 @@ impl<'a> Connection<'a> {
 
     /// Encodes, frames, sends and flushes one reply, counting its bytes.
     fn reply(&mut self, reply: &Reply) -> Result<(), FrameError> {
+        // A request's last frame frees its execution slot first: a client
+        // that has read its whole answer never sees the request in flight.
+        if !matches!(reply, Reply::RowHeader { .. } | Reply::Rows { .. }) {
+            self.permit = None;
+        }
         let bytes = write_frame(&mut self.writer, reply.kind(), &encode_reply(reply))?;
         // A blocking flush per frame is the backpressure mechanism: a slow
         // client stalls only its own connection thread (and the one
@@ -276,8 +285,8 @@ impl<'a> Connection<'a> {
             };
             return self.reply(&reply);
         }
-        let permit = match self.shared.gate.admit() {
-            Ok(p) => p,
+        self.permit = match self.shared.gate.admit() {
+            Ok(p) => Some(p),
             Err(Rejected::Overloaded { in_flight, queued }) => {
                 ServerMetrics::add(&self.shared.metrics.rejected_total, 1);
                 return self.reply(&Reply::Overloaded { in_flight, queued });
@@ -294,27 +303,35 @@ impl<'a> Connection<'a> {
             std::thread::sleep(hold);
         }
         let result = self.execute(cmd);
-        drop(permit);
+        self.permit = None;
         result
     }
 
+    /// Runs one data-plane request. A storage error is answered with an
+    /// error reply and keeps the session; a frame error ends it.
     fn execute(&mut self, cmd: Command) -> Result<(), FrameError> {
+        match self.serve_request(cmd) {
+            Ok(()) => Ok(()),
+            Err(Failure::Storage(e)) => self.storage_error(&e),
+            Err(Failure::Frame(e)) => Err(e),
+        }
+    }
+
+    fn serve_request(&mut self, cmd: Command) -> Result<(), Failure> {
         match cmd {
-            Command::Stats { table } => match self.session.table(&table) {
-                Ok(t) => {
-                    let s = TableStats::of(&t);
-                    let reply = Reply::Stats(StatsReply {
-                        rows: s.rows,
-                        arity: s.arity as u64,
-                        total_bytes: s.total_bytes as u64,
-                        resident_segments: s.resident_segments as u64,
-                        on_disk_segments: s.on_disk_segments as u64,
-                        catalog_version: self.session.version(),
-                    });
-                    self.reply(&reply)
-                }
-                Err(e) => self.storage_error(&e),
-            },
+            Command::Stats { table } => {
+                let t = self.session.table(&table)?;
+                let s = TableStats::of(&t);
+                let reply = Reply::Stats(StatsReply {
+                    rows: s.rows,
+                    arity: s.arity as u64,
+                    total_bytes: s.total_bytes as u64,
+                    resident_segments: s.resident_segments as u64,
+                    on_disk_segments: s.on_disk_segments as u64,
+                    catalog_version: self.session.version(),
+                });
+                Ok(self.reply(&reply)?)
+            }
             Command::Script { text } => {
                 match self
                     .shared
@@ -328,13 +345,13 @@ impl<'a> Connection<'a> {
                         // durability ack: the commit path already waited
                         // for the group fsync covering this script.
                         let version = self.session.refresh(&self.shared.cods);
-                        self.reply(&Reply::Ok {
+                        Ok(self.reply(&Reply::Ok {
                             message: format!(
                                 "{} operator(s) committed{}; catalog v{version}",
                                 report.records.len(),
                                 if report.log.durable { " durably" } else { "" }
                             ),
-                        })
+                        })?)
                     }
                     Err(e) => {
                         let code = match &e {
@@ -354,10 +371,10 @@ impl<'a> Connection<'a> {
                             }
                             _ => error_code::EVOLUTION,
                         };
-                        self.reply(&Reply::Error {
+                        Ok(self.reply(&Reply::Error {
                             code,
                             message: e.to_string(),
-                        })
+                        })?)
                     }
                 }
             }
@@ -366,29 +383,18 @@ impl<'a> Connection<'a> {
                 predicate,
                 projection,
             } => {
-                let t = match self.session.table(&table) {
-                    Ok(t) => t,
-                    Err(e) => return self.storage_error(&e),
-                };
-                let stream = match ScanStream::new(t, &predicate, projection.as_deref()) {
-                    Ok(s) => s,
-                    Err(e) => return self.storage_error(&e),
-                };
-                self.stream_scan(stream)
+                let t = self.session.table(&table)?;
+                let stream = ScanStream::new(t, &predicate, projection.as_deref())?;
+                Ok(self.stream_scan(stream)?)
             }
             Command::Mask { table, predicate } => {
-                let t = match self.session.table(&table) {
-                    Ok(t) => t,
-                    Err(e) => return self.storage_error(&e),
-                };
-                match predicate_mask(&t, &predicate) {
-                    Ok(mask) => self.reply(&Reply::MaskSummary {
-                        rows: t.rows(),
-                        selected: mask.count_ones(),
-                        catalog_version: self.session.version(),
-                    }),
-                    Err(e) => self.storage_error(&e),
-                }
+                let t = self.session.table(&table)?;
+                let mask = predicate_mask(&t, &predicate)?;
+                Ok(self.reply(&Reply::MaskSummary {
+                    rows: t.rows(),
+                    selected: mask.count_ones(),
+                    catalog_version: self.session.version(),
+                })?)
             }
             Command::GroupBy {
                 table,
@@ -396,37 +402,22 @@ impl<'a> Connection<'a> {
                 group_by,
                 aggs,
             } => {
-                let t = match self.session.table(&table) {
-                    Ok(t) => t,
-                    Err(e) => return self.storage_error(&e),
+                let t = self.session.table(&table)?;
+                let aggs: Vec<AggExpr> = aggs
+                    .into_iter()
+                    .map(|(op, c)| AggExpr::named(op, c))
+                    .collect();
+                let req = AggRequest::resolve(t.schema(), &group_by, &aggs)?;
+                // Mask pushdown: the predicate becomes a WAH mask and the
+                // columnar kernel aggregates under it — the filtered table
+                // is never built.
+                let mask = match predicate {
+                    Predicate::True => None,
+                    p => Some(predicate_mask(&t, &p)?),
                 };
-                match run_agg(&t, &predicate, &group_by, &aggs) {
-                    // Chunked reply stream: bounded frames however many
-                    // groups come back.
-                    Ok((columns, rows)) => {
-                        let total = rows.len() as u64;
-                        self.reply(&Reply::RowHeader {
-                            columns,
-                            total_rows: total,
-                        })?;
-                        let mut batches = 0u64;
-                        for chunk in rows.chunks(STREAM_BATCH_ROWS) {
-                            batches += 1;
-                            ServerMetrics::add(
-                                &self.shared.metrics.rows_streamed,
-                                chunk.len() as u64,
-                            );
-                            self.reply(&Reply::Rows {
-                                rows: chunk.to_vec(),
-                            })?;
-                        }
-                        self.reply(&Reply::Done {
-                            batches,
-                            rows: total,
-                        })
-                    }
-                    Err(e) => self.storage_error(&e),
-                }
+                let rows = aggregate_table_masked(&t, &req.group_by, &req.aggs, mask.as_ref())?;
+                let total = rows.len() as u64;
+                Ok(self.stream_rows(req.columns, total, rows.into_iter())?)
             }
             Command::Join {
                 left,
@@ -434,71 +425,48 @@ impl<'a> Connection<'a> {
                 left_keys,
                 right_keys,
             } => {
-                let l = match self.session.table(&left) {
-                    Ok(t) => t,
-                    Err(e) => return self.storage_error(&e),
-                };
-                let r = match self.session.table(&right) {
-                    Ok(t) => t,
-                    Err(e) => return self.storage_error(&e),
-                };
-                let resolve = |t: &Table, names: &[String]| -> Result<Vec<usize>, StorageError> {
-                    names.iter().map(|n| t.schema().index_of(n)).collect()
-                };
-                let lk = match resolve(&l, &left_keys) {
-                    Ok(v) => v,
-                    Err(e) => return self.storage_error(&e),
-                };
-                let rk = match resolve(&r, &right_keys) {
-                    Ok(v) => v,
-                    Err(e) => return self.storage_error(&e),
-                };
-                if lk.len() != rk.len() {
-                    return self.reply(&Reply::Error {
-                        code: error_code::BAD_REQUEST,
-                        message: "join key lists differ in length".into(),
-                    });
-                }
-                // Output schema: left columns ++ right non-key columns.
-                let mut columns: Vec<(String, ValueType)> = l
-                    .schema()
-                    .columns()
-                    .iter()
-                    .map(|c| (c.name.clone(), c.ty))
-                    .collect();
-                for (i, c) in r.schema().columns().iter().enumerate() {
-                    if !rk.contains(&i) {
-                        columns.push((c.name.clone(), c.ty));
-                    }
-                }
+                let (l, r) = (self.session.table(&left)?, self.session.table(&right)?);
+                let req = JoinRequest::resolve(l.schema(), r.schema(), &left_keys, &right_keys)?;
+                let (lk, rk) = (&req.left_keys, &req.right_keys);
+                let plan = plan_join(&l, &r, lk, rk, segment_cache().stats().budget);
+                let stream = join_stream(l, r, lk, rk, &plan);
                 // The match count is unknown until the probe finishes —
                 // stream under the sentinel total; Done carries the truth.
-                self.reply(&Reply::RowHeader {
-                    columns,
-                    total_rows: TOTAL_UNKNOWN,
-                })?;
-                let plan = plan_join(&l, &r, &lk, &rk, segment_cache().stats().budget);
-                let mut stream = join_stream(l, r, &lk, &rk, &plan);
-                let mut batches = 0u64;
-                let mut rows_sent = 0u64;
-                loop {
-                    let chunk: Vec<_> = stream.by_ref().take(STREAM_BATCH_ROWS).collect();
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    batches += 1;
-                    rows_sent += chunk.len() as u64;
-                    ServerMetrics::add(&self.shared.metrics.rows_streamed, chunk.len() as u64);
-                    self.reply(&Reply::Rows { rows: chunk })?;
-                }
-                self.reply(&Reply::Done {
-                    batches,
-                    rows: rows_sent,
-                })
+                Ok(self.stream_rows(req.columns, TOTAL_UNKNOWN, stream)?)
             }
             Command::Ping | Command::Refresh | Command::Metrics => {
                 unreachable!("data-plane commands only")
             }
+        }
+    }
+
+    /// Streams a result in `STREAM_BATCH_ROWS`-row frames: header, bounded
+    /// `Rows` frames however many rows come back, closer with the totals
+    /// actually sent.
+    fn stream_rows(
+        &mut self,
+        columns: Vec<ColumnDef>,
+        total_rows: u64,
+        mut rows: impl Iterator<Item = Vec<Value>>,
+    ) -> Result<(), FrameError> {
+        let columns = columns.into_iter().map(|c| (c.name, c.ty)).collect();
+        self.reply(&Reply::RowHeader {
+            columns,
+            total_rows,
+        })?;
+        let (mut batches, mut sent) = (0u64, 0u64);
+        loop {
+            let chunk: Vec<_> = rows.by_ref().take(STREAM_BATCH_ROWS).collect();
+            if chunk.is_empty() {
+                return self.reply(&Reply::Done {
+                    batches,
+                    rows: sent,
+                });
+            }
+            batches += 1;
+            sent += chunk.len() as u64;
+            ServerMetrics::add(&self.shared.metrics.rows_streamed, chunk.len() as u64);
+            self.reply(&Reply::Rows { rows: chunk })?;
         }
     }
 
@@ -537,6 +505,11 @@ impl<'a> Connection<'a> {
     fn storage_error(&mut self, e: &StorageError) -> Result<(), FrameError> {
         let code = match e {
             StorageError::UnknownTable(_) | StorageError::UnknownColumn(_) => error_code::NOT_FOUND,
+            // A request that does not fit the schema: ill-typed literals,
+            // unequal join key lists.
+            StorageError::InvalidSchema(_) | StorageError::RowMismatch(_) => {
+                error_code::BAD_REQUEST
+            }
             StorageError::Conflict(_) => error_code::CONFLICT,
             _ => error_code::INTERNAL,
         };
@@ -547,49 +520,25 @@ impl<'a> Connection<'a> {
     }
 }
 
+/// How a data-plane request fails.
+enum Failure {
+    /// The request does not fit the snapshot: answered, session kept.
+    Storage(StorageError),
+    /// The connection broke: the session ends.
+    Frame(FrameError),
+}
+
+impl From<StorageError> for Failure {
+    fn from(e: StorageError) -> Self {
+        Failure::Storage(e)
+    }
+}
+
+impl From<FrameError> for Failure {
+    fn from(e: FrameError) -> Self {
+        Failure::Frame(e)
+    }
+}
+
 /// Rows per `Rows` frame for chunked result streams (GroupBy, Join).
 const STREAM_BATCH_ROWS: usize = 4096;
-
-/// Aggregation over the predicate-selected rows: output schema plus
-/// result rows (group keys first, aggregates after, both in request
-/// order).
-#[allow(clippy::type_complexity)]
-fn run_agg(
-    t: &Table,
-    predicate: &Predicate,
-    group_by: &[String],
-    aggs: &[(AggOp, String)],
-) -> Result<(Vec<(String, ValueType)>, Vec<Vec<cods_storage::Value>>), StorageError> {
-    let group_idx: Vec<usize> = group_by
-        .iter()
-        .map(|g| t.schema().index_of(g))
-        .collect::<Result<_, _>>()?;
-    let agg_specs: Vec<(AggOp, usize, ValueType)> = aggs
-        .iter()
-        .map(|(op, col)| {
-            let idx = t.schema().index_of(col)?;
-            Ok((*op, idx, t.schema().columns()[idx].ty))
-        })
-        .collect::<Result<_, StorageError>>()?;
-    let mut columns: Vec<(String, ValueType)> = group_idx
-        .iter()
-        .map(|&g| {
-            let def = &t.schema().columns()[g];
-            (def.name.clone(), def.ty)
-        })
-        .collect();
-    for (op, idx, ty) in &agg_specs {
-        let name = format!("{:?}({})", op, t.schema().columns()[*idx].name).to_lowercase();
-        columns.push((name, op.output_type(*ty)));
-    }
-    // Mask pushdown: the predicate becomes a WAH mask and the columnar
-    // kernel aggregates under it — the filtered table is never built.
-    let rows = match predicate {
-        Predicate::True => aggregate_table_masked(t, &group_idx, &agg_specs, None)?,
-        p => {
-            let mask = predicate_mask(t, p)?;
-            aggregate_table_masked(t, &group_idx, &agg_specs, Some(&mask))?
-        }
-    };
-    Ok((columns, rows))
-}

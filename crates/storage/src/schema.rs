@@ -118,6 +118,11 @@ impl Schema {
             .ok_or_else(|| StorageError::UnknownColumn(name.to_string()))
     }
 
+    /// Indices of the named columns, in the order given.
+    pub fn indices_of<S: AsRef<str>>(&self, names: &[S]) -> Result<Vec<usize>, StorageError> {
+        names.iter().map(|n| self.index_of(n.as_ref())).collect()
+    }
+
     /// The definition of a column by name.
     pub fn column(&self, name: &str) -> Result<&ColumnDef, StorageError> {
         Ok(&self.columns[self.index_of(name)?])

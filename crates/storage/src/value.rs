@@ -84,6 +84,25 @@ impl fmt::Display for ValueType {
     }
 }
 
+impl std::str::FromStr for ValueType {
+    type Err = String;
+
+    /// Parses a type name, case-insensitively: `int`/`integer`,
+    /// `str`/`string`/`text`/`varchar`, `float`/`double`/`real` or
+    /// `bool`/`boolean`.
+    fn from_str(name: &str) -> Result<ValueType, String> {
+        match name.to_ascii_lowercase().as_str() {
+            "int" | "integer" => Ok(ValueType::Int),
+            "str" | "string" | "text" | "varchar" => Ok(ValueType::Str),
+            "float" | "double" | "real" => Ok(ValueType::Float),
+            "bool" | "boolean" => Ok(ValueType::Bool),
+            _ => Err(format!(
+                "unknown type {name:?} (use int, str, float or bool)"
+            )),
+        }
+    }
+}
+
 /// A single cell value.
 ///
 /// Strings are reference-counted so that dictionary entries, query results
@@ -274,6 +293,20 @@ mod tests {
             assert_eq!(ValueType::from_tag(ty.tag()), Some(ty));
         }
         assert_eq!(ValueType::from_tag(99), None);
+    }
+
+    #[test]
+    fn type_names_parse_and_round_trip_display() {
+        for (name, ty) in [
+            ("INTEGER", ValueType::Int),
+            ("varchar", ValueType::Str),
+            ("Double", ValueType::Float),
+            ("boolean", ValueType::Bool),
+        ] {
+            assert_eq!(name.parse::<ValueType>(), Ok(ty));
+            assert_eq!(ty.to_string().parse::<ValueType>(), Ok(ty));
+        }
+        assert!("banana".parse::<ValueType>().is_err());
     }
 
     #[test]

@@ -450,3 +450,83 @@ fn join_streams_over_the_wire_with_verified_totals() {
     client.ping().expect("connection survives typed errors");
     handle.shutdown();
 }
+
+#[test]
+fn join_key_arity_mismatch_replies_bad_request() {
+    let cods = platform(100, 64);
+    let mut handle =
+        Server::bind("127.0.0.1:0", Arc::clone(&cods), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    for (lk, rk) in [(vec!["grp"], vec![]), (vec!["grp", "k"], vec!["grp"])] {
+        let err = client
+            .join(
+                "t",
+                "t",
+                lk.iter().map(|s| s.to_string()).collect(),
+                rk.iter().map(|s| s.to_string()).collect(),
+            )
+            .unwrap_err();
+        match err {
+            ClientError::Server { code, message } => {
+                assert_eq!(
+                    code,
+                    cods_server::proto::error_code::BAD_REQUEST,
+                    "{message}"
+                );
+                assert!(
+                    message.contains("join key lists differ in length"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected a typed server error, got {other:?}"),
+        }
+    }
+    client
+        .ping()
+        .expect("connection survives a bad join request");
+    handle.shutdown();
+}
+
+#[test]
+fn ill_typed_literals_reply_bad_request() {
+    let cods = platform(100, 64);
+    let mut handle =
+        Server::bind("127.0.0.1:0", Arc::clone(&cods), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    // `v` is a str column: an int literal is the client's mistake, named
+    // with the column, not an internal failure.
+    let bad = Predicate::eq("v", 7i64);
+    let errors = [
+        client.mask("t", bad.clone()).map(|_| ()).unwrap_err(),
+        client
+            .scan_collect("t", bad.clone(), None)
+            .map(|_| ())
+            .unwrap_err(),
+        client
+            .group_by("t", bad, vec!["grp".into()], vec![])
+            .map(|_| ())
+            .unwrap_err(),
+    ];
+    for err in errors {
+        match err {
+            ClientError::Server { code, message } => {
+                assert_eq!(
+                    code,
+                    cods_server::proto::error_code::BAD_REQUEST,
+                    "{message}"
+                );
+                assert!(message.contains("\"v\""), "{message}");
+            }
+            other => panic!("expected a typed server error, got {other:?}"),
+        }
+    }
+    // The same literal quoted, and an int literal on an int column, work.
+    let (_, selected, _) = client.mask("t", Predicate::eq("v", "payload-7")).unwrap();
+    assert_eq!(
+        selected,
+        expected_rows(&cods, &Predicate::eq("v", "payload-7")).len() as u64
+    );
+    let (_, selected, _) = client.mask("t", Predicate::lt("k", 10i64)).unwrap();
+    assert_eq!(selected, 10);
+    handle.shutdown();
+}
